@@ -173,7 +173,7 @@ def cmd_taylor(args, out):
 
 def cmd_graph(args, out):
     g = _load_graph(args)
-    c = cx.build_complex(g, max_dim=8)
+    c = cx.build_complex(g)
     if args.action == "info":
         counts = c.counts()
         out.write("counts: " + " ".join(str(v) for v in counts) + "\n")
@@ -211,7 +211,7 @@ def cmd_graph(args, out):
 
 def cmd_forms(args, out):
     g = _load_graph(args)
-    c = cx.build_complex(g, max_dim=8)
+    c = cx.build_complex(g)
     if args.action == "dirac":
         _print_matrix(forms.dirac(c).data, out)
         return 0
@@ -226,13 +226,7 @@ def cmd_forms(args, out):
             raise UsageError("stokes needs --form PATH")
         degree = args.degree if args.degree is not None else 1
         F = _load_form(args.form, c, degree)
-        region = list(c.simplices[degree + 1])
-        orientation = cx.orient_region(c, degree + 1, region)
-        lhs = forms.integrate(forms.apply_d(F), region, orientation)
-        rhs = sum(
-            sign * F.values[c.index[degree][face]]
-            for face, sign in orientation.boundary_signs.items()
-        )
+        lhs, rhs = forms.stokes_sides(c, list(c.simplices[degree + 1]), F)
         out.write(f"surface_integral: {fmt(lhs)}\n")
         out.write(f"boundary_integral: {fmt(rhs)}\n")
         out.write(f"residual: {fmt(lhs - rhs)}\n")
@@ -241,7 +235,7 @@ def cmd_forms(args, out):
         if not args.current:
             raise UsageError("poisson needs --current PATH")
         j = _load_form(args.current, c, 1)
-        A, F = forms.poisson_maxwell(c, j)
+        A, F = ev.poisson_maxwell(c, j)
         out.write("degree,simplex,value\n")
         for i, s in enumerate(c.simplices[1]):
             out.write(f"1,{_simplex_name(s)},{fmt(float(A.values[i]))}\n")
@@ -253,7 +247,7 @@ def cmd_forms(args, out):
 
 def cmd_pde(args, out):
     g = _load_graph(args)
-    c = cx.build_complex(g, max_dim=8)
+    c = cx.build_complex(g)
     offsets = forms.block_offsets(c)
 
     def write_state(vec):
@@ -440,7 +434,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, expr.NoClosedFormError, cx.NonOrientableError,
-            forms.NotGradientFieldError, forms.HarmonicComponentError) as exc:
+            forms.NotGradientFieldError, ev.HarmonicComponentError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -1,7 +1,9 @@
-"""Spectral heat, Schroedinger and wave flows, plus a path-sum oracle.
+"""Spectral heat, Schroedinger and wave flows, the Poisson/Maxwell solve
+and a path-sum oracle.
 
-Flows are computed through a full symmetric eigendecomposition; the
-Feynman path enumerator is the independent exact route used in tests.
+Every flow and solve acts by a function of one symmetric eigendecomposition
+(``sym_eigen``); the Feynman path enumerator is the independent exact
+route used in tests.
 """
 
 from __future__ import annotations
@@ -11,30 +13,51 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import GraphComplex
-from .forms import Form, OperatorMatrix, dirac, laplacian_block, total_dim
+from .forms import Form, OperatorMatrix, dirac, exterior_derivative, laplacian_block, total_dim
 from .numcore import DomainError
 
 
 SYMMETRY_TOL = 1e-12
 RECONSTRUCT_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10
+# eigenvalues within this fraction of max(|w|, 1) count as zero
+KERNEL_RELATIVE_CUTOFF = 1e-9
+WAVE_HARMONIC_TOL = 1e-9
+POISSON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal
-    source: str
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Mask of the eigenvalues that count as zero (the harmonic part)."""
+        w = np.abs(self.eigenvalues)
+        return w <= KERNEL_RELATIVE_CUTOFF * w.max(initial=1.0)
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """Spectrum of the pseudoinverse: 1/w off the kernel, 0 on it."""
+        kernel = self.kernel
+        return np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, self.eigenvalues))
+
+    def apply(self, spectrum, v) -> np.ndarray:
+        """g(M) v = Q (g(w) * Q^T v) for the values g(w) given as ``spectrum``."""
+        q = self.eigenvectors
+        return q @ (spectrum * (q.T @ v))
 
     def reconstruct(self) -> np.ndarray:
         return self.eigenvectors @ (self.eigenvalues[:, None] * self.eigenvectors.T)
 
 
-def sym_eigen(m, source: str = "operator") -> SpectralDecomposition:
+def sym_eigen(m) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, deterministic ordering.
 
     Eigenvalues ascend; each eigenvector is sign-fixed so its first
-    component of nonnegligible size is positive.
+    component of nonnegligible size is positive.  Raises ArithmeticError
+    when the eigenvectors are not orthonormal or do not reconstruct m.
     """
     if isinstance(m, OperatorMatrix):
         m = m.data
@@ -50,11 +73,15 @@ def sym_eigen(m, source: str = "operator") -> SpectralDecomposition:
         nz = np.nonzero(np.abs(col) > 1e-9)[0]
         if len(nz) and col[nz[0]] < 0:
             q[:, i] = -col
-    scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
+    dec = SpectralDecomposition(w, q)
     if a.size:
-        assert np.abs(q.T @ q - np.eye(len(w))).max() < ORTHONORMAL_TOL
-        assert np.abs(q @ (w[:, None] * q.T) - a).max() < RECONSTRUCT_TOL * scale
-    return SpectralDecomposition(w, q, source)
+        orthonormal = np.abs(q.T @ q - np.eye(len(w))).max()
+        if not orthonormal < ORTHONORMAL_TOL:
+            raise ArithmeticError(f"eigenvectors not orthonormal (residual {orthonormal:.3e})")
+        reconstruct = np.abs(dec.reconstruct() - a).max()
+        if not reconstruct < RECONSTRUCT_TOL * max(np.abs(a).max(), 1.0):
+            raise ArithmeticError(f"eigenvectors do not reconstruct the matrix (residual {reconstruct:.3e})")
+    return dec
 
 
 def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
@@ -63,10 +90,9 @@ def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
         raise DomainError("heat flow needs t >= 0")
     if f0.degree != k:
         raise DomainError("form degree mismatch")
-    dec = sym_eigen(laplacian_block(c, k), source=f"L_{k}")
+    dec = sym_eigen(laplacian_block(c, k))
     v = np.asarray(f0.values, dtype=float)
-    out = dec.eigenvectors @ (np.exp(-dec.eigenvalues * t) * (dec.eigenvectors.T @ v))
-    return Form(c, k, out)
+    return Form(c, k, dec.apply(np.exp(-dec.eigenvalues * t), v))
 
 
 def schrodinger_flow(c: GraphComplex, f0, t: float) -> np.ndarray:
@@ -74,44 +100,75 @@ def schrodinger_flow(c: GraphComplex, f0, t: float) -> np.ndarray:
     v = np.asarray(f0, dtype=complex)
     if len(v) != total_dim(c):
         raise DomainError("state length must equal the total number of simplices")
-    dec = sym_eigen(dirac(c), source="Dirac")
-    return dec.eigenvectors @ (np.exp(1j * dec.eigenvalues * t) * (dec.eigenvectors.T @ v))
+    dec = sym_eigen(dirac(c))
+    return dec.apply(np.exp(1j * dec.eigenvalues * t), v)
 
 
-def wave_flow(c: GraphComplex, f0, g0, t: float, harmonic_tol: float = 1e-9) -> np.ndarray:
+def wave_flow(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
     """cos(Dt) f0 + sin(Dt) D+ g0 for initial value f0 and velocity g0.
 
     g0 must have no harmonic (ker D) component; its harmonic norm is
     reported otherwise.
     """
-    dec = sym_eigen(dirac(c), source="Dirac")
+    dec = sym_eigen(dirac(c))
     f = np.asarray(f0, dtype=float)
     g = np.asarray(g0, dtype=float)
     if len(f) != total_dim(c) or len(g) != total_dim(c):
         raise DomainError("state length must equal the total number of simplices")
-    w = dec.eigenvalues
-    scale = max(np.abs(w).max(), 1.0)
-    kernel = np.abs(w) <= 1e-9 * scale
-    gk = dec.eigenvectors.T @ g
-    hnorm = float(np.linalg.norm(gk[kernel]))
-    if hnorm > harmonic_tol:
+    hnorm = float(np.linalg.norm(dec.apply(dec.kernel, g)))
+    if hnorm > WAVE_HARMONIC_TOL:
         raise DomainError(f"initial velocity has harmonic component of norm {hnorm:.3e}")
-    fk = dec.eigenvectors.T @ f
-    inv_w = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, w))
-    coeffs = np.cos(w * t) * fk + np.sin(w * t) * inv_w * gk
-    return dec.eigenvectors @ coeffs
+    wt = dec.eigenvalues * t
+    return dec.apply(np.cos(wt), f) + dec.apply(np.sin(wt) * dec.pinv, g)
 
 
 def wave_velocity(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
     """Time derivative of the wave flow: -D sin(Dt) f0 + cos(Dt) g0."""
-    dec = sym_eigen(dirac(c), source="Dirac")
+    dec = sym_eigen(dirac(c))
+    w = dec.eigenvalues
     f = np.asarray(f0, dtype=float)
     g = np.asarray(g0, dtype=float)
-    w = dec.eigenvalues
-    fk = dec.eigenvectors.T @ f
-    gk = dec.eigenvectors.T @ g
-    coeffs = -w * np.sin(w * t) * fk + np.cos(w * t) * gk
-    return dec.eigenvectors @ coeffs
+    return dec.apply(-w * np.sin(w * t), f) + dec.apply(np.cos(w * t), g)
+
+
+class HarmonicComponentError(ValueError):
+    """Right-hand side has a harmonic component the Laplacian cannot reach."""
+
+    def __init__(self, message: str, norm: float):
+        super().__init__(f"{message} (harmonic norm {norm:.3e})")
+        self.norm = norm
+
+
+def poisson_maxwell(c: GraphComplex, j: Form):
+    """Solve L A = j for a divergence-free current, return (A, F = dA).
+
+    Checks Kirchhoff (d0* j = 0) and rejects currents with a harmonic
+    component; asserts the Coulomb gauge d0* A = 0 and d1* F = j.
+    """
+    if j.degree != 1:
+        raise DomainError("current must be a 1-form")
+    d0 = exterior_derivative(c, 0).data
+    jv = np.asarray(j.values, dtype=float)
+    div_j = d0.T.astype(float) @ jv
+    if len(div_j) and np.abs(div_j).max() > POISSON_TOL:
+        raise DomainError("Kirchhoff violated: current has nonzero divergence")
+    dec = sym_eigen(laplacian_block(c, 1))
+    hnorm = float(np.linalg.norm(dec.apply(dec.kernel, jv)))
+    if hnorm > POISSON_TOL:
+        raise HarmonicComponentError("current has a harmonic component", hnorm)
+    av = dec.apply(dec.pinv, jv)
+    A = Form(c, 1, av)
+    gauge = d0.T.astype(float) @ av
+    if len(gauge) and np.abs(gauge).max() > 1e-8:
+        raise ArithmeticError("Coulomb gauge violated beyond tolerance")
+    d1 = exterior_derivative(c, 1).data.astype(float)
+    fv = d1 @ av
+    F = Form(c, 2, fv)
+    if c.top_dim >= 3:
+        d2 = exterior_derivative(c, 2).data.astype(float)
+        if len(fv) and d2.size and np.abs(d2 @ fv).max() > 1e-8:
+            raise ArithmeticError("dF != 0 beyond tolerance")
+    return A, F
 
 
 def feynman_path_sum(m, start: int, end: int, steps: int):

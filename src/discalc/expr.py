@@ -404,7 +404,7 @@ def evaluate(node, x: int):
     if isinstance(node, Const):
         return _norm(node.value)
     if isinstance(node, FallingPower):
-        return falling_power(x, node.n) if x >= 0 or node.n >= 0 else falling_power(x, node.n)
+        return falling_power(x, node.n)
     if isinstance(node, PlainPower):
         return x ** node.n
     if isinstance(node, ExpBase):

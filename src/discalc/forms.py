@@ -1,13 +1,15 @@
 """k-forms and the exterior calculus operators on a clique complex.
 
 The matrices d, D = d + d*, L = D^2 are held as object arrays of Python
-integers so that identities like d.d = 0 and L = D^2 stay exact; floats
-enter only through the spectral pseudoinverse.
+integers so that identities like d.d = 0 and L = D^2 stay exact.  This
+module is exact-only: spectral work (flows, the Poisson/Maxwell solve)
+lives in ``discalc.evolution``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,9 +112,12 @@ def dirac(c: GraphComplex) -> OperatorMatrix:
 
 
 def laplacian(c: GraphComplex) -> OperatorMatrix:
-    """L = D^2 = d d* + d* d; block-diagonal per form degree."""
-    d = dirac(c).data
-    return OperatorMatrix(d @ d, None, None)
+    """L = D^2 = d d* + d* d, assembled from its diagonal blocks L_k."""
+    offsets = block_offsets(c)
+    mat = _zeros(offsets[-1], offsets[-1])
+    for k in range(c.top_dim + 1):
+        mat[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = laplacian_block(c, k).data
+    return OperatorMatrix(mat, None, None)
 
 
 def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
@@ -177,20 +182,25 @@ def boundary_faces(c: GraphComplex, k: int, region) -> list:
     return [f for f, n in counts.items() if n % 2 == 1]
 
 
-def stokes_residual(c: GraphComplex, region, F: Form, orientation: Optional[Orientation] = None):
-    """int_region dF - int_boundary F; zero in exact arithmetic.
+def stokes_sides(c: GraphComplex, region, F: Form, orientation: Optional[Orientation] = None):
+    """(int_region dF, int_boundary F); equal in exact arithmetic.
 
     ``region`` is a set of (k+1)-simplices for a k-form F.
     """
     k = F.degree
     if orientation is None:
         orientation = orient_region(c, k + 1, region)
-    dF = apply_d(F)
-    lhs = integrate(dF, region, orientation)
+    lhs = integrate(apply_d(F), region, orientation)
     idx = c.index[k]
     rhs = 0
     for f, sign in orientation.boundary_signs.items():
         rhs = rhs + sign * F.values[idx[f]]
+    return lhs, rhs
+
+
+def stokes_residual(c: GraphComplex, region, F: Form, orientation: Optional[Orientation] = None):
+    """int_region dF - int_boundary F; zero in exact arithmetic."""
+    lhs, rhs = stokes_sides(c, region, F, orientation)
     return lhs - rhs
 
 
@@ -273,7 +283,7 @@ def gradient_ascent(c: GraphComplex, f, start: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Potentials and Poisson/Maxwell
+# Potentials
 
 
 class NotGradientFieldError(ValueError):
@@ -297,16 +307,14 @@ def potential(c: GraphComplex, F: Form) -> np.ndarray:
     f = np.full(g.vertex_count, None, dtype=object)
     parent = [None] * g.vertex_count
     f[0] = 0
-    order = [0]
-    queue = [0]
+    queue = deque([0])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in sorted(adj[v]):
             if f[w] is None:
                 f[w] = f[v] + edge_value(F, v, w)
                 parent[w] = v
                 queue.append(w)
-                order.append(w)
     if any(v is None for v in f):
         raise DomainError("graph is not connected")
     for (a, b), i in c.index[1].items():
@@ -336,66 +344,3 @@ def _tree_cycle(parent, a, b) -> list:
             break
         trimmed_b.append(v)
     return trimmed_a + trimmed_b[::-1] + [a]
-
-
-PINV_RELATIVE_CUTOFF = 1e-9
-
-
-def pinv_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Pseudoinverse action via symmetric eigendecomposition."""
-    a = np.asarray(mat, dtype=float)
-    w, q = np.linalg.eigh(a)
-    cutoff = PINV_RELATIVE_CUTOFF * max(np.abs(w).max(), 1.0)
-    inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(np.abs(w) > cutoff, w, 1.0), 0.0)
-    return q @ (inv * (q.T @ np.asarray(vec, dtype=float)))
-
-
-def kernel_projection(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Component of vec in the kernel (harmonic part) of a symmetric matrix."""
-    a = np.asarray(mat, dtype=float)
-    w, q = np.linalg.eigh(a)
-    cutoff = PINV_RELATIVE_CUTOFF * max(np.abs(w).max(), 1.0)
-    mask = np.abs(w) <= cutoff
-    v = np.asarray(vec, dtype=float)
-    return q[:, mask] @ (q[:, mask].T @ v)
-
-
-class HarmonicComponentError(ValueError):
-    """Right-hand side has a harmonic component the Laplacian cannot reach."""
-
-    def __init__(self, message: str, norm: float):
-        super().__init__(f"{message} (harmonic norm {norm:.3e})")
-        self.norm = norm
-
-
-def poisson_maxwell(c: GraphComplex, j: Form, tol: float = 1e-10):
-    """Solve L A = j for a divergence-free current, return (A, F = dA).
-
-    Checks Kirchhoff (d0* j = 0) and rejects currents with a harmonic
-    component; asserts the Coulomb gauge d0* A = 0 and d1* F = j.
-    """
-    if j.degree != 1:
-        raise DomainError("current must be a 1-form")
-    d0 = exterior_derivative(c, 0).data
-    jv = np.asarray(j.values, dtype=float)
-    div_j = d0.T.astype(float) @ jv
-    if len(div_j) and np.abs(div_j).max() > tol:
-        raise DomainError("Kirchhoff violated: current has nonzero divergence")
-    L1 = laplacian_block(c, 1).data
-    harmonic = kernel_projection(L1, jv)
-    hnorm = float(np.linalg.norm(harmonic))
-    if hnorm > tol:
-        raise HarmonicComponentError("current has a harmonic component", hnorm)
-    av = pinv_apply(L1, jv)
-    A = Form(c, 1, av)
-    gauge = d0.T.astype(float) @ av
-    if len(gauge) and np.abs(gauge).max() > 1e-8:
-        raise ArithmeticError("Coulomb gauge violated beyond tolerance")
-    d1 = exterior_derivative(c, 1).data.astype(float)
-    fv = d1 @ av
-    F = Form(c, 2, fv)
-    if c.top_dim >= 3:
-        d2 = exterior_derivative(c, 2).data.astype(float)
-        if len(fv) and d2.size and np.abs(d2 @ fv).max() > 1e-8:
-            raise ArithmeticError("dF != 0 beyond tolerance")
-    return A, F

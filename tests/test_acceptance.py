@@ -252,7 +252,7 @@ def test_criterion_8_poisson():
     jv[c.index[1][(1, 2)]] = 1
     jv[c.index[1][(0, 2)]] = -1
     j = fm.Form(c, 1, jv)
-    A, F = fm.poisson_maxwell(c, j)
+    A, F = ev.poisson_maxwell(c, j)
     d1 = fm.exterior_derivative(c, 1).data.astype(float)
     d0 = fm.exterior_derivative(c, 0).data.astype(float)
     av = np.asarray(A.values, dtype=float)

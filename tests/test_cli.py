@@ -112,6 +112,13 @@ class TestGraph:
         r = run_cli("graph", "info", "--file", str(f))
         assert r.stdout == "counts: 3 3 1\nchi: 1\n"
 
+    def test_complete10_not_truncated(self):
+        # K_10 is one 9-simplex: contractible, with simplices up to dimension 9
+        r = run_cli("graph", "betti", "--gen", "complete:10")
+        assert r.stdout == "betti: 1 0 0 0 0 0 0 0 0 0\n"
+        r = run_cli("graph", "info", "--gen", "complete:10")
+        assert r.stdout == "counts: 10 45 120 210 252 210 120 45 10 1\nchi: 1\n"
+
     def test_missing_source_exit1(self):
         assert run_cli("graph", "info").returncode == 1
 

@@ -32,6 +32,17 @@ class TestSymEigen:
         with pytest.raises(DomainError):
             ev.sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda w, q: (w, 2 * q),
+        lambda w, q: (w + 1.0, q),
+    ], ids=["not-orthonormal", "not-reconstructing"])
+    def test_failed_checks_raise(self, monkeypatch, corrupt):
+        # explicit raises, so the checks also run under python -O
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: corrupt(*eigh(a)))
+        with pytest.raises(ArithmeticError):
+            ev.sym_eigen(fm.laplacian_block(complex_of("cycle:4"), 0))
+
     def test_reconstruct(self):
         m = fm.laplacian_block(complex_of("wheel:5"), 1).data.astype(float)
         dec = ev.sym_eigen(m)
@@ -127,8 +138,8 @@ class TestWaveFlow:
         # velocity w(t) = P_ker f0 + cos(sqrt(2) t) (f0 - P_ker f0)
         c = complex_of("complete:2")
         f0 = np.array([1.0, -2.0, 0.5])
-        d = fm.dirac(c).data.astype(float)
-        kernel = fm.kernel_projection(d, f0)
+        dec = ev.sym_eigen(fm.dirac(c))
+        kernel = dec.apply(dec.kernel, f0)
         for t in (0.0, 0.3, 1.7, 6.0):
             out = ev.wave_flow(c, f0, np.zeros(3), t)
             expected = kernel + math.cos(math.sqrt(2) * t) * (f0 - kernel)

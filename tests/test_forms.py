@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from discalc import complexes as cx, forms as fm
+from discalc import complexes as cx, evolution as ev, forms as fm
 from discalc.numcore import DomainError
 
 from conftest import random_connected_graph, random_graph
@@ -296,7 +296,7 @@ class TestPoissonMaxwell:
         B = random_form(rng, c, 2)
         jv = fm.exterior_derivative(c, 1).data.T @ B.values
         j = fm.Form(c, 1, jv)
-        A, F = fm.poisson_maxwell(c, j)
+        A, F = ev.poisson_maxwell(c, j)
         d1 = fm.exterior_derivative(c, 1).data.astype(float)
         residual = np.abs(d1.T @ (d1 @ np.asarray(A.values, dtype=float))
                           - np.asarray(jv, dtype=float)).max()
@@ -309,7 +309,7 @@ class TestPoissonMaxwell:
         c = cx.build_complex(cx.generate("complete", 3))
         j = fm.Form(c, 1, np.array([1, 0, 0], dtype=object))
         with pytest.raises(DomainError):
-            fm.poisson_maxwell(c, j)
+            ev.poisson_maxwell(c, j)
 
     def test_harmonic_current_rejected(self):
         c = cx.build_complex(cx.generate("cycle", 4))
@@ -320,8 +320,8 @@ class TestPoissonMaxwell:
             key = (min(a, b), max(a, b))
             jv[idx[key]] = 1 if a < b else -1
         jv[idx[(0, 3)]] = -1
-        with pytest.raises(fm.HarmonicComponentError):
-            fm.poisson_maxwell(c, fm.Form(c, 1, jv))
+        with pytest.raises(ev.HarmonicComponentError):
+            ev.poisson_maxwell(c, fm.Form(c, 1, jv))
 
     def test_faraday_dF_zero(self):
         g = cone(cx.generate("octahedron"))
@@ -329,6 +329,6 @@ class TestPoissonMaxwell:
         rng = random.Random(13)
         B = random_form(rng, c, 2)
         jv = fm.exterior_derivative(c, 1).data.T @ B.values
-        A, F = fm.poisson_maxwell(c, fm.Form(c, 1, jv))
+        A, F = ev.poisson_maxwell(c, fm.Form(c, 1, jv))
         d2 = fm.exterior_derivative(c, 2).data.astype(float)
         assert np.abs(d2 @ np.asarray(F.values, dtype=float)).max() < 1e-8
