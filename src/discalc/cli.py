@@ -39,85 +39,115 @@ def fmt(value) -> str:
     floats with 12 significant digits."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+            return fmt(value.numerator)
+        return f"{fmt(value.numerator)}/{fmt(value.denominator)}"
     if isinstance(value, float):
         if value == math.inf:
             return "inf"
         return format(value, ".12g")
     if isinstance(value, complex):
         return f"{format(value.real, '.12g')}{'+' if value.imag >= 0 else '-'}{format(abs(value.imag), '.12g')}i"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # an integer past the int-to-str digit limit, which guards input only
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _parsed(kind, text, where: str):
+    """kind(text); malformed input is a UsageError, a DomainError stays one."""
+    try:
+        return kind(text)
+    except DomainError:
+        raise
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot read {where}: {type(exc).__name__}: {exc}") from None
+
+
+def _csv_rows(path: str, header: str, width: int):
+    """The data rows of a CSV file: blank, '#' comment and header rows are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for row in csv.reader(fh):
+            first = row[0].strip() if row else ""
+            if first.startswith("#") or first == header or not "".join(row).strip():
+                continue
+            if len(row) < width:
+                raise UsageError(f"{path}: row {','.join(row)!r} needs {width} columns")
+            yield row
 
 
 def _load_graph(args) -> cx.Graph:
     if args.gen:
-        return cx.parse_generator(args.gen)
+        return _parsed(cx.parse_generator, args.gen, "--gen")
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return cx.Graph.from_json(fh.read())
+            return _parsed(cx.Graph.from_json, fh.read(), args.file)
     raise UsageError("need --gen NAME[:N] or --file PATH")
 
 
 def _load_vertex_fn(path: str, n: int) -> list:
     values = [None] * n
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0].strip() == "vertex":
-                continue
-            v = int(row[0])
-            values[v] = Fraction(row[1])
+    for row in _csv_rows(path, "vertex", 2):
+        v = _parsed(int, row[0], path)
+        if not 0 <= v < n:
+            raise DomainError(f"vertex {v} out of range")
+        values[v] = _parsed(Fraction, row[1], path)
     if any(v is None for v in values):
         raise DomainError("function file does not cover every vertex")
     return values
 
 
 def _parse_simplex(text: str) -> tuple:
-    return tuple(int(p) for p in text.split("-"))
+    simplex = tuple(int(p) for p in text.split("-"))
+    if list(simplex) != sorted(set(simplex)):
+        raise ValueError(f"simplex {text!r} is not in ascending vertex order")
+    return simplex
 
 
-def _load_form_rows(path: str) -> list:
+def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
+    """(degree, position in c.simplices[degree], value) for each row."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0].strip() == "degree":
-                continue
-            degree = int(row[0])
-            simplex = _parse_simplex(row[1])
-            value = Fraction(row[2]) if "/" in row[2] or "." not in row[2] else float(row[2])
-            rows.append((degree, simplex, value))
+    for row in _csv_rows(path, "degree", 3):
+        d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
+        value = _parsed(Fraction if "/" in row[2] or "." not in row[2] else float, row[2], path)
+        position = c.index[d].get(simplex) if 0 <= d <= c.top_dim else None
+        if position is None:
+            raise DomainError(f"{_simplex_name(simplex)} is not a {d}-simplex of the complex")
+        rows.append((d, position, value))
     return rows
 
 
 def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
+    if not 0 <= degree <= c.top_dim:
+        raise DomainError(f"the complex has no {degree}-simplices")
     values = np.full(c.count(degree), 0, dtype=object)
-    for d, simplex, value in _load_form_rows(path):
+    for d, i, value in _load_form_rows(path, c):
         if d != degree:
             raise DomainError(f"expected degree-{degree} rows, found degree {d}")
-        values[c.index[degree][simplex]] = value
+        values[i] = value
     return forms.Form(c, degree, values)
 
 
 def _load_state_vector(path: str, c: cx.GraphComplex) -> np.ndarray:
     offsets = forms.block_offsets(c)
     vec = np.zeros(forms.total_dim(c))
-    for d, simplex, value in _load_form_rows(path):
-        vec[offsets[d] + c.index[d][simplex]] = float(value)
+    for d, i, value in _load_form_rows(path, c):
+        vec[offsets[d] + i] = float(value)
     return vec
 
 
 def _load_samples(path: str) -> Sequence:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0].strip() == "x":
-                continue
-            x = int(row[0])
-            text = row[1].strip()
-            value = float(text) if ("." in text or "e" in text or "E" in text) else Fraction(text)
-            if isinstance(value, Fraction) and value.denominator == 1:
-                value = value.numerator
-            pairs.append((x, value))
+    for row in _csv_rows(path, "x", 2):
+        text = row[1].strip()
+        value = _parsed(float if ("." in text or "e" in text or "E" in text) else Fraction, text, path)
+        if isinstance(value, Fraction) and value.denominator == 1:
+            value = value.numerator
+        pairs.append((_parsed(int, row[0], path), value))
     pairs.sort()
     if not pairs:
         raise DomainError("no samples in file")
@@ -132,7 +162,7 @@ def _simplex_name(simplex: tuple) -> str:
 
 
 def _print_matrix(mat, out):
-    for row in np.asarray(mat):
+    for row in np.asarray(mat).tolist():
         out.write(" ".join(fmt(v) for v in row) + "\n")
 
 
@@ -225,6 +255,8 @@ def cmd_forms(args, out):
         if not args.form:
             raise UsageError("stokes needs --form PATH")
         degree = args.degree if args.degree is not None else 1
+        if not 0 <= degree < c.top_dim:
+            raise DomainError(f"stokes needs a degree from 0 to {c.top_dim - 1}")
         F = _load_form(args.form, c, degree)
         lhs, rhs = forms.stokes_sides(c, list(c.simplices[degree + 1]), F)
         out.write(f"surface_integral: {fmt(lhs)}\n")
@@ -246,34 +278,25 @@ def cmd_forms(args, out):
 
 
 def cmd_pde(args, out):
-    g = _load_graph(args)
-    c = cx.build_complex(g)
-    offsets = forms.block_offsets(c)
+    c = cx.build_complex(_load_graph(args))
 
-    def write_state(vec):
+    def write_state(degrees, vec):
         out.write("t,simplex,value\n")
-        for k in range(c.top_dim + 1):
-            for i, s in enumerate(c.simplices[k]):
-                out.write(f"{fmt(args.t)},{k}:{_simplex_name(s)},{fmt(vec[offsets[k] + i])}\n")
+        names = (f"{k}:{_simplex_name(s)}" for k in degrees for s in c.simplices[k])
+        for name, value in zip(names, vec):
+            out.write(f"{fmt(args.t)},{name},{fmt(value)}\n")
 
     if args.action == "heat":
         degree = args.degree if args.degree is not None else 0
-        f0 = _load_form(args.form, c, degree)
-        result = ev.heat_flow(c, degree, forms.Form(c, degree, np.asarray([float(v) for v in f0.values])), args.t)
-        out.write("t,simplex,value\n")
-        for i, s in enumerate(c.simplices[degree]):
-            out.write(f"{fmt(args.t)},{degree}:{_simplex_name(s)},{fmt(float(result.values[i]))}\n")
+        write_state([degree], ev.heat_flow(c, degree, _load_form(args.form, c, degree), args.t).values)
         return 0
     if args.action == "schrodinger":
-        psi0 = _load_state_vector(args.form, c)
-        result = ev.schrodinger_flow(c, psi0, args.t)
-        write_state(result)
+        write_state(range(c.top_dim + 1), ev.schrodinger_flow(c, _load_state_vector(args.form, c), args.t))
         return 0
     if args.action == "wave":
         f0 = _load_state_vector(args.form, c)
         g0 = _load_state_vector(args.velocity, c) if args.velocity else np.zeros(forms.total_dim(c))
-        result = ev.wave_flow(c, f0, g0, args.t)
-        write_state(result)
+        write_state(range(c.top_dim + 1), ev.wave_flow(c, f0, g0, args.t))
         return 0
     raise UsageError(f"unknown pde action {args.action!r}")
 
@@ -301,7 +324,7 @@ def _plot_functions(fn: str, a: float, h: float):
     if fn == "log":
         return (lambda x: log_discrete(x), lambda x: math.log(x))
     if fn.startswith("pow:"):
-        n = int(fn.split(":", 1)[1])
+        n = _parsed(int, fn.split(":", 1)[1], "--fn pow:N")
 
         def falling(x):
             result = 1.0
@@ -315,10 +338,7 @@ def _plot_functions(fn: str, a: float, h: float):
 
 def cmd_plot(args, out):
     lo_text, _, hi_text = args.range.partition(":")
-    try:
-        lo, hi = float(lo_text), float(hi_text)
-    except ValueError:
-        raise UsageError(f"bad range {args.range!r}; expected LO:HI")
+    lo, hi = _parsed(float, lo_text, "--range LO:HI"), _parsed(float, hi_text, "--range LO:HI")
     if hi <= lo:
         raise UsageError("range needs LO < HI")
     discrete, classical = _plot_functions(args.fn, args.a, args.h)
@@ -437,7 +457,7 @@ def main(argv=None) -> int:
             forms.NotGradientFieldError, ev.HarmonicComponentError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError, csv.Error) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

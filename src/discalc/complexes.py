@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .numcore import DomainError
 
@@ -27,23 +30,25 @@ class Graph:
 
     def __post_init__(self):
         normalized = set()
+        adj = [set() for _ in range(self.vertex_count)]
         for a, b in self.edges:
             if a == b:
                 raise DomainError(f"loop at vertex {a}")
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
                 raise DomainError(f"edge ({a},{b}) outside vertex range")
             normalized.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", frozenset(normalized))
-
-    def neighbors(self, v: int) -> set:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
-    def adjacency(self) -> list:
-        adj = [set() for _ in range(self.vertex_count)]
-        for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "_adjacency", tuple(frozenset(s) for s in adj))
+
+    def neighbors(self, v: int) -> frozenset:
+        if not 0 <= v < self.vertex_count:
+            raise DomainError(f"vertex {v} out of range")
+        return self._adjacency[v]
+
+    def adjacency(self) -> tuple:
+        return self._adjacency
 
     def induced(self, vertices) -> tuple:
         """Induced subgraph; returns (graph, map new index -> old vertex)."""
@@ -82,6 +87,18 @@ class GraphComplex:
 
     def counts(self) -> tuple:
         return tuple(len(s) for s in self.simplices)
+
+    @cached_property
+    def faces(self) -> tuple:
+        """Signed incidence, built once: ``faces[k][r, i]`` (int64) is the position
+        in ``simplices[k-1]`` of the face of ``simplices[k][r]`` that drops
+        vertex i, with sign (-1)^i.  ``faces[0]`` has no columns."""
+        table = [np.zeros((self.count(0), 0), dtype=np.int64)]
+        for k in range(1, self.top_dim + 1):
+            below = self.index[k - 1]
+            rows = [[below[f] for _, f in _faces(s)] for s in self.simplices[k]]
+            table.append(np.array(rows, dtype=np.int64))
+        return tuple(table)
 
 
 def build_complex(g: Graph, max_dim: Optional[int] = None) -> GraphComplex:
@@ -242,8 +259,6 @@ def parse_generator(spec: str) -> Graph:
 
 def unit_sphere(c: GraphComplex, v: int) -> tuple:
     """Induced subgraph on the neighbors of v; returns (graph, relabel map)."""
-    if not 0 <= v < c.graph.vertex_count:
-        raise DomainError(f"vertex {v} out of range")
     return c.graph.induced(c.graph.neighbors(v))
 
 
@@ -293,13 +308,6 @@ class Classification:
     flat: bool = False
 
 
-def _classify_graph(g: Graph) -> Classification:
-    if g.vertex_count == 0:
-        return Classification("other", ())
-    c = build_complex(g)
-    return classify(c)
-
-
 def classify(c: GraphComplex) -> Classification:
     """Curve / surface / solid classification by unit-sphere shape."""
     g = c.graph
@@ -332,10 +340,11 @@ def classify(c: GraphComplex) -> Classification:
     def all_solid():
         boundary = []
         for v, s in enumerate(sphere_cache):
-            sub = _classify_graph(s)
+            sphere = build_complex(s)
+            sub = classify(sphere)
             if sub.kind != "surface":
                 return None
-            chi = _euler_of_graph(s)
+            chi = sum((-1) ** k * v for k, v in enumerate(sphere.counts()))
             if sub.boundary and chi == 1:
                 boundary.append(v)  # sphere is a disc: boundary point
             elif not sub.boundary and chi == 2:
@@ -349,11 +358,6 @@ def classify(c: GraphComplex) -> Classification:
         if result is not None:
             return result
     return Classification("other", ())
-
-
-def _euler_of_graph(g: Graph) -> int:
-    counts = build_complex(g).counts()
-    return sum((-1) ** k * v for k, v in enumerate(counts))
 
 
 # ---------------------------------------------------------------------------

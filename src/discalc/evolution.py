@@ -149,7 +149,7 @@ def poisson_maxwell(c: GraphComplex, j: Form):
         raise DomainError("current must be a 1-form")
     d0 = exterior_derivative(c, 0).data
     jv = np.asarray(j.values, dtype=float)
-    div_j = d0.T.astype(float) @ jv
+    div_j = d0.T @ jv
     if len(div_j) and np.abs(div_j).max() > POISSON_TOL:
         raise DomainError("Kirchhoff violated: current has nonzero divergence")
     dec = sym_eigen(laplacian_block(c, 1))
@@ -158,14 +158,13 @@ def poisson_maxwell(c: GraphComplex, j: Form):
         raise HarmonicComponentError("current has a harmonic component", hnorm)
     av = dec.apply(dec.pinv, jv)
     A = Form(c, 1, av)
-    gauge = d0.T.astype(float) @ av
+    gauge = d0.T @ av
     if len(gauge) and np.abs(gauge).max() > 1e-8:
         raise ArithmeticError("Coulomb gauge violated beyond tolerance")
-    d1 = exterior_derivative(c, 1).data.astype(float)
-    fv = d1 @ av
+    fv = exterior_derivative(c, 1).data @ av
     F = Form(c, 2, fv)
     if c.top_dim >= 3:
-        d2 = exterior_derivative(c, 2).data.astype(float)
+        d2 = exterior_derivative(c, 2).data
         if len(fv) and d2.size and np.abs(d2 @ fv).max() > 1e-8:
             raise ArithmeticError("dF != 0 beyond tolerance")
     return A, F

@@ -1,9 +1,13 @@
 """k-forms and the exterior calculus operators on a clique complex.
 
-The matrices d, D = d + d*, L = D^2 are held as object arrays of Python
-integers so that identities like d.d = 0 and L = D^2 stay exact.  This
-module is exact-only: spectral work (flows, the Poisson/Maxwell solve)
-lives in ``discalc.evolution``.
+The matrices d, D = d + d*, L = D^2 are int64 arrays built from the face
+table ``GraphComplex.faces``.  They are exact: every entry of d is 0 or
++-1, and an entry of D or L is bounded by a vertex degree plus the
+dimension, far below 2^63, so identities like d.d = 0 and L = D^2 hold
+exactly.  Form values stay Python objects (an int64 operator times an
+object vector is exact object arithmetic).  This module is exact-only:
+spectral work (flows, the Poisson/Maxwell solve) lives in
+``discalc.evolution``.
 """
 
 from __future__ import annotations
@@ -21,15 +25,9 @@ from .numcore import DomainError
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix tagged with the form degrees it maps between."""
+    """Dense int64 operator matrix."""
 
     data: np.ndarray
-    row_degree: Optional[int]  # None for degree-mixing operators (Dirac)
-    col_degree: Optional[int]
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 @dataclass(frozen=True)
@@ -47,31 +45,22 @@ class Form:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=object))
 
 
-def _zeros(rows: int, cols: int) -> np.ndarray:
-    return np.full((rows, cols), 0, dtype=object)
-
-
 def exterior_derivative(c: GraphComplex, k: int) -> OperatorMatrix:
     """Signed face-sum matrix d_k: k-forms -> (k+1)-forms."""
     if k < 0:
         raise DomainError("degree must be >= 0")
     rows = c.count(k + 1)
-    cols = c.count(k)
-    mat = _zeros(rows, cols)
-    if rows and cols:
-        col_index = c.index[k]
-        for r, simplex in enumerate(c.simplices[k + 1]):
-            for i, f in _faces(simplex):
-                mat[r, col_index[f]] = (-1) ** i
-    return OperatorMatrix(mat, k + 1, k)
+    mat = np.zeros((rows, c.count(k)), dtype=np.int64)
+    if rows:
+        mat[np.arange(rows)[:, None], c.faces[k + 1]] = (-1) ** np.arange(k + 2)
+    return OperatorMatrix(mat)
 
 
 def codifferential(c: GraphComplex, k: int) -> OperatorMatrix:
     """Adjoint d*: k-forms -> (k-1)-forms (plain transpose of d_{k-1})."""
     if k < 1:
         raise DomainError("codifferential needs degree >= 1")
-    d = exterior_derivative(c, k - 1)
-    return OperatorMatrix(d.data.T, k - 1, k)
+    return OperatorMatrix(exterior_derivative(c, k - 1).data.T)
 
 
 def gradient(c: GraphComplex) -> OperatorMatrix:
@@ -101,23 +90,23 @@ def dirac(c: GraphComplex) -> OperatorMatrix:
     """Block matrix D = d + d* on the direct sum of all form spaces."""
     n = total_dim(c)
     offsets = block_offsets(c)
-    mat = _zeros(n, n)
+    mat = np.zeros((n, n), dtype=np.int64)
     for k in range(c.top_dim):
         d = exterior_derivative(c, k).data
         r0, r1 = offsets[k + 1], offsets[k + 2]
         c0, c1 = offsets[k], offsets[k + 1]
         mat[r0:r1, c0:c1] = d
         mat[c0:c1, r0:r1] = d.T
-    return OperatorMatrix(mat, None, None)
+    return OperatorMatrix(mat)
 
 
 def laplacian(c: GraphComplex) -> OperatorMatrix:
     """L = D^2 = d d* + d* d, assembled from its diagonal blocks L_k."""
     offsets = block_offsets(c)
-    mat = _zeros(offsets[-1], offsets[-1])
+    mat = np.zeros((offsets[-1], offsets[-1]), dtype=np.int64)
     for k in range(c.top_dim + 1):
         mat[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = laplacian_block(c, k).data
-    return OperatorMatrix(mat, None, None)
+    return OperatorMatrix(mat)
 
 
 def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
@@ -127,7 +116,7 @@ def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
     if k >= 1:
         dkm = exterior_derivative(c, k - 1).data
         mat = mat + dkm @ dkm.T
-    return OperatorMatrix(mat, k, k)
+    return OperatorMatrix(mat)
 
 
 def apply_d(F: Form) -> Form:
@@ -214,9 +203,9 @@ def dot_at_vertex(F: Form, G: Form, x: int):
         raise DomainError("dot product is defined for 1-forms")
     idx = F.complex_ref.index[1]
     total = 0
-    for e, i in idx.items():
-        if x in e:
-            total = total + F.values[i] * G.values[i]
+    for y in sorted(F.complex_ref.graph.neighbors(x)):
+        i = idx[(min(x, y), max(x, y))]
+        total = total + F.values[i] * G.values[i]
     return total
 
 

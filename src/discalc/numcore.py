@@ -41,9 +41,6 @@ class GaussianInteger:
     def scale(self, c: int) -> "GaussianInteger":
         return GaussianInteger(c * self.re, c * self.im)
 
-    def conjugate(self) -> "GaussianInteger":
-        return GaussianInteger(self.re, -self.im)
-
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 
@@ -96,10 +93,6 @@ class Sequence:
         if not self.base <= index < self.base + len(self.values):
             raise IndexError(f"index {index} outside window [{self.base}, {self.base + len(self.values)})")
         return self.values[index - self.base]
-
-    @property
-    def last_index(self) -> int:
-        return self.base + len(self.values) - 1
 
 
 def diff(f: Sequence) -> Sequence:
@@ -215,10 +208,6 @@ def exp_h_complex(a: float, h: float, x: float) -> complex:
 
 def sin_h(a: float, h: float, x: float) -> float:
     return exp_h_complex(a, h, x).imag
-
-
-def cos_h(a: float, h: float, x: float) -> float:
-    return exp_h_complex(a, h, x).real
 
 
 def tan_discrete(x: int):

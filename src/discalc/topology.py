@@ -98,14 +98,25 @@ def sub_level_sphere(c: GraphComplex, f, x: int) -> Graph:
     return sub
 
 
+def _index_and_class(c: GraphComplex, f, x: int) -> tuple:
+    """(i_f(x), critical class of x) from one S^-(x) and its complex."""
+    sub = sub_level_sphere(c, f, x)
+    if sub.vertex_count == 0:
+        return 1, "min"
+    i = 1 - euler_characteristic(build_complex(sub))
+    if is_cycle_graph(sub, min_len=3):
+        return i, "max"
+    if i == -2:
+        return i, "monkey"
+    if i < 0:
+        return i, f"saddle({len(connected_components(sub))})"
+    return i, "regular" if i == 0 else "critical"
+
+
 def index(c: GraphComplex, f, x: int) -> int:
     """i_f(x) = 1 - chi(S^-(x))."""
     _check_injective(f, c.graph.vertex_count)
-    sub = sub_level_sphere(c, f, x)
-    if sub.vertex_count == 0:
-        return 1
-    chi = euler_characteristic(build_complex(sub))
-    return 1 - chi
+    return _index_and_class(c, f, x)[0]
 
 
 @dataclass(frozen=True)
@@ -118,29 +129,16 @@ class IndexReport:
 def classify_critical(c: GraphComplex, f, x: int) -> str:
     """min / max / saddle(m) / monkey / regular taxonomy of a vertex."""
     _check_injective(f, c.graph.vertex_count)
-    sub = sub_level_sphere(c, f, x)
-    i = index(c, f, x)
-    if sub.vertex_count == 0:
-        return "min"
-    if is_cycle_graph(sub, min_len=3):
-        return "max"
-    if i == -2:
-        return "monkey"
-    if i < 0:
-        comps = connected_components(sub)
-        return f"saddle({len(comps)})"
-    if i == 0:
-        return "regular"
-    return "critical"
+    return _index_and_class(c, f, x)[1]
 
 
 def poincare_hopf(c: GraphComplex, f) -> IndexReport:
     """Per-vertex indices; the total equals the Euler characteristic."""
     n = c.graph.vertex_count
     _check_injective(f, n)
-    indices = tuple(index(c, f, x) for x in range(n))
-    classes = tuple(classify_critical(c, f, x) for x in range(n))
-    return IndexReport(indices, classes, sum(indices))
+    pairs = [_index_and_class(c, f, x) for x in range(n)]
+    indices = tuple(i for i, _ in pairs)
+    return IndexReport(indices, tuple(kind for _, kind in pairs), sum(indices))
 
 
 def index_expectation(c: GraphComplex, max_vertices: int = 10) -> tuple:

@@ -1,5 +1,8 @@
+import hashlib
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, cwd=None):
@@ -34,6 +37,13 @@ class TestEval:
         r = run_cli("eval", "[x]^", "--at", "0")
         assert r.returncode == 1
         assert "parse error" in r.stderr
+
+    def test_long_exact_result(self):
+        # 3^10000 has 4772 digits, past the interpreter's int-to-str limit
+        r = run_cli("eval", "3^x", "--at", "10000")
+        assert r.returncode == 0 and "Traceback" not in r.stderr
+        assert r.stdout.strip().isdigit() and len(r.stdout.strip()) == 4772
+        assert int(r.stdout[:20]) == 3 ** 10000 // 10 ** 4752
 
     def test_no_closed_form_exit2(self):
         r = run_cli("eval", "log(x)", "--at", "4", "--op", "sum")
@@ -177,6 +187,35 @@ class TestForms:
         r = run_cli("forms", "poisson", "--gen", "cycle:4", "--current", str(f))
         assert r.returncode == 2
 
+    # sha256 of stdout recorded while the operators were object-dtype arrays of
+    # Python ints; the int64 operators must print byte for byte the same
+    GOLDEN = {
+        ("dirac", "wheel:6"): "a5fcc711f0fbc7547476efae37e888f905a4f4a03ac21d8a6c1fa560db119d24",
+        ("laplacian", "wheel:6"): "9c97f4a4b96c82c69fae401434a7f44b5d72b602a6f232f8589b72ca68de3677",
+        ("laplacian", "wheel:6", "--degree", "1"): "4dcd33bbc25a5ea1add22e4f1e8e89089806c6fac2716d9c29fd30d33db9c5d5",
+        ("dirac", "hexpatch:2"): "e63b2ab0562fb7d4d5eeec2dcfdc9c6276b491a4592cffc0726fe729ea2d2c75",
+        ("laplacian", "hexpatch:2"): "39efcb317e4bfe30c35cfac1689c1096fded9afa846c69d00a3ce41022f0cdec",
+        ("laplacian", "hexpatch:2", "--degree", "1"): "8534f08627584edead532a19881bca69ee5a250a6dbfdd4818765dca01de68b2",
+        ("stokes", "wheel:6", "--form", "stokes.csv"): "13febe9f55fae45fa1aa9c227da8b1ee8b831a7e7bf35a1e7f65caa69daa72f0",
+        ("poisson", "complete:5", "--current", "current.csv"):
+            "0189c2b8eed5677d27eb1d3d94baab642f8894ec03174cbab1e8b466017b50f3",
+        ("heat", "cycle:5", "--t", "0.5", "--form", "f0.csv"):
+            "e42cb9337d0cdd3aeb22dde905849942b948c6ad669525178bba5390a7815af3",
+    }
+
+    def test_golden_stdout(self, tmp_path):
+        rim = [(i, (i + 1) % 6, i + 1) for i in range(6)]
+        stokes = [f"1,{min(a, b)}-{max(a, b)},{v if a < b else -v}" for a, b, v in rim]
+        (tmp_path / "stokes.csv").write_text("\n".join(stokes + [f"1,{i}-6,1" for i in range(6)]) + "\n")
+        (tmp_path / "current.csv").write_text("1,0-1,1\n1,1-2,1\n1,0-2,-1\n")
+        (tmp_path / "f0.csv").write_text("0,0,1\n")
+        for (action, gen, *rest), digest in self.GOLDEN.items():
+            command = "pde" if action == "heat" else "forms"
+            rest = [str(tmp_path / a) if a.endswith(".csv") else a for a in rest]
+            r = run_cli(command, action, "--gen", gen, *rest)
+            assert r.returncode == 0, (action, gen, r.stderr)
+            assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, (action, gen, *rest)
+
 
 class TestPde:
     def test_heat_header_and_rows(self, tmp_path):
@@ -203,6 +242,41 @@ class TestPde:
         r = run_cli("pde", "wave", "--gen", "cycle:4", "--t", "1.0",
                     "--form", str(f0), "--velocity", str(g0))
         assert r.returncode == 2
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("args, files, code", [
+        (("graph", "info", "--gen", "cycle:abc"), {}, 1),
+        (("graph", "info", "--file", "{g}"), {"g": "not json"}, 1),
+        (("graph", "info", "--file", "{g}"), {"g": '{"vertices": 3}'}, 1),
+        (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,1-0,3\n"}, 1),
+        (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-1,abc\n"}, 1),
+        (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-1\n"}, 1),
+        (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,x\n"}, 1),
+        (("taylor", "--samples", "{f}", "--eval", "3"), {"f": "0\n1\n"}, 1),
+        (("plot", "--fn", "pow:x", "--range", "0:1", "--out", "{o}"), {}, 1),
+        (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-3,1\n"}, 2),
+        (("pde", "wave", "--gen", "cycle:4", "--t", "1", "--form", "{f}"), {"f": "7,0-1,1\n"}, 2),
+        (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n9,2\n"}, 2),
+        (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n-1,2\n"}, 2),
+    ], ids=["gen-not-int", "file-not-json", "file-no-edges", "simplex-descending", "value-not-number",
+            "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
+            "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative"])
+    def test_malformed_input_exit_code(self, tmp_path, args, files, code):
+        paths = {"o": str(tmp_path / "out.svg")}
+        for key, text in files.items():
+            (tmp_path / key).write_text(text)
+            paths[key] = str(tmp_path / key)
+        r = run_cli(*(a.format(**paths) for a in args))
+        assert r.returncode == code, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+    def test_comment_blank_and_header_rows_skipped(self, tmp_path):
+        f = tmp_path / "fn.csv"
+        f.write_text("vertex,value\n# comment\n\n0,1\n  \n1,0\n")
+        r = run_cli("graph", "indices", "--gen", "path:2", "--fn", str(f))
+        assert r.returncode == 0 and r.stdout.startswith("vertex,index,class,curvature\n")
 
 
 class TestPlot:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from discalc import complexes as cx
@@ -39,6 +40,20 @@ class TestGraph:
     def test_neighbors(self):
         g = cx.generate("cycle", 5)
         assert g.neighbors(0) == {1, 4}
+
+    def test_adjacency_matches_edge_scan(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(1, 10))
+            for v in range(g.vertex_count):
+                scan = {b if a == v else a for a, b in g.edges if v in (a, b)}
+                assert g.neighbors(v) == g.adjacency()[v] == scan
+
+    def test_neighbors_out_of_range_rejected(self):
+        g = cx.generate("path", 2)
+        for v in (-1, 2):
+            with pytest.raises(DomainError):
+                g.neighbors(v)
 
     def test_json_round_trip(self):
         g = cx.generate("wheel", 6)
@@ -87,6 +102,20 @@ class TestBuildComplex:
             assert c.top_dim == max(oracle) if oracle else c.counts() == (g.vertex_count,)
             for k, level in oracle.items():
                 assert sorted(c.simplices[k]) == sorted(level)
+
+
+    def test_faces_match_tuple_oracle(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            c = cx.build_complex(random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.9)))
+            assert c.faces[0].shape == (c.count(0), 0)
+            for k in range(1, c.top_dim + 1):
+                table = c.faces[k]
+                assert table.dtype == np.int64 and table.shape == (c.count(k), k + 1)
+                for r, s in enumerate(c.simplices[k]):
+                    for i in range(k + 1):
+                        assert table[r, i] == c.index[k - 1][s[:i] + s[i + 1:]]
+            assert c.faces is c.faces  # built once per complex
 
 
 class TestGenerators:

@@ -78,6 +78,12 @@ class TestExteriorDerivative:
                 blk = L[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]]
                 assert np.all(blk == fm.laplacian_block(c, k).data)
 
+    def test_operators_are_int64(self):
+        c = cx.build_complex(cx.generate("icosahedron"))
+        ops = [fm.exterior_derivative(c, k) for k in range(c.top_dim + 1)]
+        ops += [fm.codifferential(c, 1), fm.dirac(c), fm.laplacian(c), fm.laplacian_block(c, 1)]
+        assert all(op.data.dtype == np.int64 for op in ops)
+
     def test_block0_is_kirchhoff(self):
         g = cx.generate("wheel", 5)
         c = cx.build_complex(g)
