@@ -53,8 +53,10 @@ class Graph:
     def induced(self, vertices) -> tuple:
         """Induced subgraph; returns (graph, map new index -> old vertex)."""
         order = sorted(vertices)
+        if order and not (0 <= order[0] and order[-1] < self.vertex_count):
+            raise DomainError("induced subgraph needs vertices in range")
         back = {old: new for new, old in enumerate(order)}
-        edges = {(back[a], back[b]) for a, b in self.edges if a in back and b in back}
+        edges = {(back[a], back[b]) for a in order for b in self._adjacency[a] if a < b and b in back}
         return Graph(len(order), frozenset(edges)), tuple(order)
 
     def to_json(self) -> str:

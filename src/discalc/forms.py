@@ -5,7 +5,9 @@ table ``GraphComplex.faces``.  They are exact: every entry of d is 0 or
 +-1, and an entry of D or L is bounded by a vertex degree plus the
 dimension, far below 2^63, so identities like d.d = 0 and L = D^2 hold
 exactly.  Form values stay Python objects (an int64 operator times an
-object vector is exact object arithmetic).  This module is exact-only:
+object vector is exact object arithmetic).  ``apply_d`` builds no matrix:
+it gathers the face values of each simplex through the face table and
+adds them with signs (-1)^i.  This module is exact-only:
 spectral work (flows, the Poisson/Maxwell solve) lives in
 ``discalc.evolution``.
 """
@@ -111,6 +113,8 @@ def laplacian(c: GraphComplex) -> OperatorMatrix:
 
 def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
     """The degree-k block L_k = d_k* d_k + d_{k-1} d_{k-1}*."""
+    if k > c.top_dim:
+        raise DomainError(f"the complex has no {k}-simplices")
     dk = exterior_derivative(c, k).data
     mat = dk.T @ dk
     if k >= 1:
@@ -120,8 +124,15 @@ def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
 
 
 def apply_d(F: Form) -> Form:
-    d = exterior_derivative(F.complex_ref, F.degree)
-    return Form(F.complex_ref, F.degree + 1, d.data @ F.values)
+    """dF(s) = sum_i (-1)^i F(s without vertex i), gathered through the face table."""
+    c, k = F.complex_ref, F.degree
+    if k < 0:
+        raise DomainError("degree must be >= 0")
+    if k >= c.top_dim:
+        return Form(c, k + 1, np.zeros(0, dtype=object))
+    # columns reversed: faces in ascending position, the summation order of d_k @ F
+    gathered = F.values[c.faces[k + 1][:, ::-1]]
+    return Form(c, k + 1, (gathered * (-1) ** np.arange(k + 1, -1, -1)).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -259,9 +259,11 @@ class TestFrontDoor:
         (("pde", "wave", "--gen", "cycle:4", "--t", "1", "--form", "{f}"), {"f": "7,0-1,1\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n9,2\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n-1,2\n"}, 2),
+        (("forms", "laplacian", "--degree", "9", "--gen", "cycle:4"), {}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "simplex-descending", "value-not-number",
             "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
-            "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative"])
+            "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
+            "laplacian-degree-past-top"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -271,6 +273,22 @@ class TestFrontDoor:
         assert r.returncode == code, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # the matrix is far larger than a pipe buffer, so the writer meets the closed pipe
+        proc = subprocess.Popen([sys.executable, "-m", "discalc", "forms", "dirac", "--gen", "hexpatch:5"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().startswith("0 ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait() == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy costs a third of a second at start-up; it may only be imported lazily
+        code = "import sys, discalc.cli\nif 'scipy' in sys.modules: raise SystemExit('scipy imported eagerly')"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
 
     def test_comment_blank_and_header_rows_skipped(self, tmp_path):
         f = tmp_path / "fn.csv"

@@ -65,6 +65,21 @@ class TestGraph:
         assert order == (1, 3, 4)
         assert sub == cx.generate("complete", 3)
 
+    def test_induced_matches_edge_scan(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.8))
+            chosen = {v for v in range(g.vertex_count) if rng.random() < 0.6}
+            sub, order = g.induced(chosen)
+            back = {old: new for new, old in enumerate(order)}
+            assert sub.edges == {(back[a], back[b]) for a, b in g.edges if a in back and b in back}
+
+    def test_induced_out_of_range_rejected(self):
+        g = cx.generate("cycle", 4)
+        for vertices in ({0, 4}, {-1, 2}):
+            with pytest.raises(DomainError):
+                g.induced(vertices)
+
 
 class TestBuildComplex:
     def test_octahedron_counts(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,12 @@ class TestExteriorDerivative:
         ops += [fm.codifferential(c, 1), fm.dirac(c), fm.laplacian(c), fm.laplacian_block(c, 1)]
         assert all(op.data.dtype == np.int64 for op in ops)
 
+    def test_laplacian_block_past_top_dim_rejected(self):
+        c = cx.build_complex(cx.generate("cycle", 4))
+        assert fm.laplacian_block(c, 1).data.shape == (4, 4)
+        with pytest.raises(DomainError):
+            fm.laplacian_block(c, 2)
+
     def test_block0_is_kirchhoff(self):
         g = cx.generate("wheel", 5)
         c = cx.build_complex(g)
@@ -95,6 +102,24 @@ class TestExteriorDerivative:
                 if a != b:
                     assert L0[a, b] == (-1 if (min(a, b), max(a, b)) in g.edges else 0)
         assert np.all(L0.sum(axis=1) == 0)
+
+
+class TestApplyD:
+    def test_matches_dense_d_on_fraction_forms(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            c = cx.build_complex(random_graph(rng, rng.randint(1, 9), rng.uniform(0.3, 0.9)))
+            for k in range(c.top_dim + 1):
+                values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(c.count(k))]
+                F = fm.Form(c, k, np.array(values, dtype=object))
+                dF = fm.apply_d(F)
+                assert dF.degree == k + 1
+                assert list(dF.values) == list(fm.exterior_derivative(c, k).data @ F.values)
+
+    def test_negative_degree_rejected(self):
+        c = cx.build_complex(cx.generate("complete", 3))
+        with pytest.raises(DomainError):
+            fm.apply_d(fm.Form(c, -1, np.zeros(0, dtype=object)))
 
 
 class TestIntegration:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from discalc import complexes as cx, topology as tp
+from discalc import complexes as cx, forms as fm, topology as tp
 from discalc.numcore import DomainError
 
 from conftest import random_connected_graph, random_graph
@@ -41,7 +41,39 @@ class TestIntegerRank:
         assert tp.integer_rank(mat) == n
 
 
+def as_rows(mat) -> list:
+    """The nonzero entries of each row as {column: value}."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
+
+
+class TestSparseRank:
+    def test_q_rank_not_z2_rank(self):
+        # ranks over Q that reduction mod 2 would get wrong
+        for mat, rank in (([[1, 1], [1, -1]], 2), ([[2]], 1), ([[2, 4], [3, 6]], 1), ([[0, 2], [2, 0]], 2)):
+            assert tp._sparse_rank(as_rows(mat)) == tp.integer_rank(mat) == rank
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6, 12)) for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.3:  # force a dependent row
+                mat.append([rng.randint(-3, 3) * a + rng.randint(-3, 3) * b for a, b in zip(mat[0], mat[-1])])
+            assert tp._sparse_rank(as_rows(mat)) == tp.integer_rank(mat)
+
+    def test_every_d_k_of_random_complexes(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            c = cx.build_complex(random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.9)))
+            for k in range(c.top_dim + 1):
+                assert tp._rank_d(c, k) == tp.integer_rank(fm.exterior_derivative(c, k).data)
+
+
 class TestBetti:
+    def test_large_complexes(self):
+        assert tp.betti(complex_of("hexpatch:12")) == (1, 0, 0)
+        assert tp.betti(complex_of("complete:11")) == (1,) + (0,) * 10
+
     def test_named_values(self):
         assert tp.betti(complex_of("octahedron")) == (1, 0, 1)
         assert tp.betti(complex_of("icosahedron")) == (1, 0, 1)
