@@ -43,8 +43,6 @@ def fmt(value) -> str:
             return fmt(value.numerator)
         return f"{fmt(value.numerator)}/{fmt(value.denominator)}"
     if isinstance(value, float):
-        if value == math.inf:
-            return "inf"
         return format(value, ".12g")
     if isinstance(value, complex):
         return f"{format(value.real, '.12g')}{'+' if value.imag >= 0 else '-'}{format(abs(value.imag), '.12g')}i"
@@ -59,13 +57,21 @@ def fmt(value) -> str:
             sys.set_int_max_str_digits(limit)
 
 
+def _finite(text: str) -> float:
+    """A float that is neither infinite nor nan."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parsed(kind, text, where: str):
     """kind(text); malformed input is a UsageError, a DomainError stays one."""
     try:
         return kind(text)
     except DomainError:
         raise
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"cannot read {where}: {type(exc).__name__}: {exc}") from None
 
 
@@ -114,7 +120,7 @@ def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
     rows = []
     for row in _csv_rows(path, "degree", 3):
         d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
-        value = _parsed(Fraction if "/" in row[2] or "." not in row[2] else float, row[2], path)
+        value = _parsed(Fraction if "/" in row[2] or "." not in row[2] else _finite, row[2], path)
         position = c.index[d].get(simplex) if 0 <= d <= c.top_dim else None
         if position is None:
             raise DomainError(f"{_simplex_name(simplex)} is not a {d}-simplex of the complex")
@@ -145,7 +151,7 @@ def _load_samples(path: str) -> Sequence:
     pairs = []
     for row in _csv_rows(path, "x", 2):
         text = row[1].strip()
-        value = _parsed(float if ("." in text or "e" in text or "E" in text) else Fraction, text, path)
+        value = _parsed(_finite if ("." in text or "e" in text or "E" in text) else Fraction, text, path)
         if isinstance(value, Fraction) and value.denominator == 1:
             value = value.numerator
         pairs.append((_parsed(int, row[0], path), value))
@@ -164,7 +170,7 @@ def _simplex_name(simplex: tuple) -> str:
 
 def _print_matrix(mat, out):
     for row in np.asarray(mat).tolist():
-        out.write(" ".join(fmt(v) for v in row) + "\n")
+        out.write(" ".join(map(str, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +332,8 @@ def _plot_functions(fn: str, a: float, h: float):
         return (lambda x: log_discrete(x), lambda x: math.log(x))
     if fn.startswith("pow:"):
         n = _parsed(int, fn.split(":", 1)[1], "--fn pow:N")
+        if n < 0:
+            raise DomainError("pow:N needs N >= 0")
 
         def falling(x):
             result = 1.0
@@ -339,11 +347,11 @@ def _plot_functions(fn: str, a: float, h: float):
 
 def cmd_plot(args, out):
     lo_text, _, hi_text = args.range.partition(":")
-    lo, hi = _parsed(float, lo_text, "--range LO:HI"), _parsed(float, hi_text, "--range LO:HI")
-    if hi <= lo:
-        raise UsageError("range needs LO < HI")
-    discrete, classical = _plot_functions(args.fn, args.a, args.h)
+    lo, hi = _parsed(_finite, lo_text, "--range LO:HI"), _parsed(_finite, hi_text, "--range LO:HI")
     steps = 400
+    if not 0 < (hi - lo) * steps < math.inf:  # every sample point stays finite
+        raise UsageError("range needs LO < HI, at most 4e305 apart")
+    discrete, classical = _plot_functions(args.fn, args.a, args.h)
     xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
     if args.fn == "log":
         xs = [x for x in xs if x > 0]
@@ -352,6 +360,8 @@ def cmd_plot(args, out):
     series = [[(x, discrete(x)) for x in xs], [(x, classical(x)) for x in xs]]
     ys = [y for points in series for _, y in points]
     ymin, ymax = min(ys), max(ys)
+    if not (all(map(math.isfinite, ys)) and math.isfinite(ymax - ymin)):
+        raise DomainError("the plotted values leave the float range")
     if ymax == ymin:
         ymax = ymin + 1.0
 
@@ -414,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pde", help="heat, wave and Schroedinger flows")
     p.add_argument("action", choices=["heat", "wave", "schrodinger"])
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--form", required=True)
     p.add_argument("--velocity", default=None)
     p.add_argument("--gen", default=None)
@@ -423,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="SVG comparison of deformed vs classical")
     p.add_argument("--fn", required=True)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=1.0)
+    p.add_argument("--a", type=_finite, default=1.0)
+    p.add_argument("--h", type=_finite, default=1.0)
     p.add_argument("--range", required=True)
     p.add_argument("--out", required=True)
 
@@ -461,7 +471,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, expr.NoClosedFormError, cx.NonOrientableError,
-            forms.NotGradientFieldError, ev.HarmonicComponentError) as exc:
+            forms.NotGradientFieldError, ev.HarmonicComponentError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError, csv.Error) as exc:

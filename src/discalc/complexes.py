@@ -2,6 +2,7 @@
 
 Simplices of dimension k are the complete subgraphs K_{k+1}, stored as
 ascending vertex tuples; the ascending order is the reference orientation.
+The face table ``GraphComplex.faces`` is the one face walk: operators, orientations and level curves read it.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -90,6 +92,15 @@ class GraphComplex:
     def counts(self) -> tuple:
         return tuple(len(s) for s in self.simplices)
 
+    def positions(self, k: int, simplices) -> list:
+        """Positions in ``simplices[k]``; DomainError for a simplex not in the complex."""
+        if not 0 <= k <= self.top_dim:
+            raise DomainError(f"the complex has no {k}-simplices")
+        try:
+            return [self.index[k][tuple(s)] for s in simplices]
+        except KeyError as exc:
+            raise DomainError(f"{exc.args[0]} is not a {k}-simplex of the complex") from None
+
     @cached_property
     def faces(self) -> tuple:
         """Signed incidence, built once: ``faces[k][r, i]`` (int64) is the position
@@ -98,25 +109,23 @@ class GraphComplex:
         table = [np.zeros((self.count(0), 0), dtype=np.int64)]
         for k in range(1, self.top_dim + 1):
             below = self.index[k - 1]
-            rows = [[below[f] for _, f in _faces(s)] for s in self.simplices[k]]
+            rows = [[below[s[:i] + s[i + 1:]] for i in range(k + 1)] for s in self.simplices[k]]
             table.append(np.array(rows, dtype=np.int64))
         return tuple(table)
 
 
-def build_complex(g: Graph, max_dim: Optional[int] = None) -> GraphComplex:
-    """Enumerate all complete subgraphs up to max_dim by clique extension."""
+def build_complex(g: Graph) -> GraphComplex:
+    """Enumerate all complete subgraphs by clique extension."""
     adj = g.adjacency()
     levels = [[(v,) for v in range(g.vertex_count)]]
-    while max_dim is None or len(levels) - 1 < max_dim:
+    while True:
         previous = levels[-1]
         nxt = []
         for simplex in previous:
             common = set(range(simplex[-1] + 1, g.vertex_count))
             for v in simplex:
                 common &= adj[v]
-            for w in sorted(common):
-                if w > simplex[-1]:
-                    nxt.append(simplex + (w,))
+            nxt.extend(simplex + (w,) for w in sorted(common))
         if not nxt:
             break
         levels.append(nxt)
@@ -376,55 +385,43 @@ class Orientation:
     boundary_signs: dict  # face tuple -> +1/-1
 
 
-def _faces(simplex: tuple):
-    for i in range(len(simplex)):
-        yield i, simplex[:i] + simplex[i + 1:]
-
-
 def orient_region(c: GraphComplex, k: int, region) -> Orientation:
     """Propagate consistent orientations over a connected set of k-simplices.
 
     Adjacent simplices (sharing a (k-1)-face) must induce opposite
     orientations on the shared face.  The first region simplex is seeded +1.
+    Signs travel over the face positions in ``c.faces[k]``, column i with sign (-1)^i.
     """
-    region = [tuple(s) for s in region]
-    if not region:
-        raise DomainError("empty region")
     if k < 1:
         raise DomainError("orientation needs degree >= 1")
-    for s in region:
-        if s not in c.index[k]:
-            raise DomainError(f"{s} is not a {k}-simplex of the complex")
+    rows = c.positions(k, region)
+    if not rows:
+        raise DomainError("empty region")
+    faces, face_rows = c.simplices[k - 1], dict(zip(rows, c.faces[k][rows].tolist()))
+    incidences = {}  # face position -> [(row, column)] in region order
+    for r in rows:
+        for i, f in enumerate(face_rows[r]):
+            incidences.setdefault(f, []).append((r, i))
 
-    face_map = {}  # face -> list of (simplex, position)
-    for s in region:
-        for i, f in _faces(s):
-            face_map.setdefault(f, []).append((s, i))
-
-    signs = {region[0]: 1}
-    queue = [region[0]]
-    while queue:
-        s = queue.pop()
-        for i, f in _faces(s):
-            for t, j in face_map[f]:
-                if t == s:
+    signs, stack = {rows[0]: 1}, [rows[0]]
+    while stack:
+        r = stack.pop()
+        for i, f in enumerate(face_rows[r]):
+            for t, j in incidences[f]:
+                if t == r:
                     continue
-                want = -signs[s] * (-1) ** i * (-1) ** j
+                want = -signs[r] * (-1) ** (i + j)
                 if t in signs:
                     if signs[t] != want:
-                        raise NonOrientableError(f"orientation clash on face {f}")
+                        raise NonOrientableError(f"orientation clash on face {faces[f]}")
                 else:
                     signs[t] = want
-                    queue.append(t)
-    if len(signs) != len(region):
+                    stack.append(t)
+    if len(signs) != len(rows):
         raise DomainError("region is not connected")
 
-    boundary_signs = {}
-    for f, incidences in face_map.items():
-        if len(incidences) == 1:
-            s, i = incidences[0]
-            boundary_signs[f] = signs[s] * (-1) ** i
-    return Orientation(k, signs, boundary_signs)
+    boundary_signs = {faces[f]: signs[r] * (-1) ** i for f, [(r, i), *others] in incidences.items() if not others}
+    return Orientation(k, {c.simplices[k][r]: sign for r, sign in signs.items()}, boundary_signs)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +431,8 @@ def orient_region(c: GraphComplex, k: int, region) -> Orientation:
 def level_curve(c: GraphComplex, f, cut) -> Graph:
     """Graph of sign-change edges, linked when two such edges share a triangle.
 
-    On a boundaryless surface the result is a finite union of cycles.
+    A triangle's edges are its row of ``c.faces[2]``.  On a boundaryless
+    surface the result is a finite union of cycles.
     """
     g = c.graph
     values = [f[v] for v in range(g.vertex_count)]
@@ -442,13 +440,9 @@ def level_curve(c: GraphComplex, f, cut) -> Graph:
         raise DomainError("level_curve needs an injective function")
     if any(v == cut for v in values):
         raise DomainError("cut collides with a function value")
-    crossing = [e for e in sorted(c.simplices[1]) if (values[e[0]] - cut) * (values[e[1]] - cut) < 0]
-    back = {e: i for i, e in enumerate(crossing)}
-    new_edges = set()
-    for tri in c.simplices[2] if c.top_dim >= 2 else ():
-        hits = [back[f2] for _, f2 in _faces(tri) if f2 in back]
-        for a in range(len(hits)):
-            for b in range(a + 1, len(hits)):
-                new_edges.add((min(hits[a], hits[b]), max(hits[a], hits[b])))
-    labels = tuple(f"{a}-{b}" for a, b in crossing)
-    return Graph(len(crossing), frozenset(new_edges), labels)
+    edges = c.simplices[1] if c.top_dim >= 1 else ()
+    crossing = [r for r, (a, b) in enumerate(edges) if (values[a] - cut) * (values[b] - cut) < 0]
+    back = {r: i for i, r in enumerate(crossing)}
+    triangles = c.faces[2].tolist() if c.top_dim >= 2 else ()
+    new_edges = {e for row in triangles for e in combinations(sorted(back[r] for r in row if r in back), 2)}
+    return Graph(len(crossing), frozenset(new_edges), tuple("{}-{}".format(*edges[r]) for r in crossing))

@@ -55,9 +55,10 @@ class SpectralDecomposition:
 def sym_eigen(m) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, deterministic ordering.
 
-    Eigenvalues ascend; each eigenvector is sign-fixed so its first
-    component of nonnegligible size is positive.  Raises ArithmeticError
-    when the eigenvectors are not orthonormal or do not reconstruct m.
+    Eigenvalues ascend, those in the kernel exactly 0.0 (no flow drifts on the
+    harmonic part); each eigenvector is sign-fixed so its first component of
+    nonnegligible size is positive.  Raises ArithmeticError when the
+    eigenvectors are not orthonormal or do not reconstruct m.
     """
     if isinstance(m, OperatorMatrix):
         m = m.data
@@ -81,12 +82,20 @@ def sym_eigen(m) -> SpectralDecomposition:
         reconstruct = np.abs(dec.reconstruct() - a).max()
         if not reconstruct < RECONSTRUCT_TOL * max(np.abs(a).max(), 1.0):
             raise ArithmeticError(f"eigenvectors do not reconstruct the matrix (residual {reconstruct:.3e})")
-    return dec
+    return SpectralDecomposition(np.where(dec.kernel, 0.0, w), q)
+
+
+def _state(c: GraphComplex, v, dtype) -> np.ndarray:
+    """v as a vector on the full form space, one entry per simplex."""
+    v = np.asarray(v, dtype=dtype)
+    if v.shape != (total_dim(c),):
+        raise DomainError("state length must equal the total number of simplices")
+    return v
 
 
 def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
     """e^(-L_k t) f0; degree-preserving."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("heat flow needs t >= 0")
     if f0.degree != k:
         raise DomainError("form degree mismatch")
@@ -97,9 +106,7 @@ def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
 
 def schrodinger_flow(c: GraphComplex, f0, t: float) -> np.ndarray:
     """e^(itD) f0 on the full form space; unitary."""
-    v = np.asarray(f0, dtype=complex)
-    if len(v) != total_dim(c):
-        raise DomainError("state length must equal the total number of simplices")
+    v = _state(c, f0, complex)
     dec = sym_eigen(dirac(c))
     return dec.apply(np.exp(1j * dec.eigenvalues * t), v)
 
@@ -110,11 +117,8 @@ def wave_flow(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
     g0 must have no harmonic (ker D) component; its harmonic norm is
     reported otherwise.
     """
+    f, g = _state(c, f0, float), _state(c, g0, float)
     dec = sym_eigen(dirac(c))
-    f = np.asarray(f0, dtype=float)
-    g = np.asarray(g0, dtype=float)
-    if len(f) != total_dim(c) or len(g) != total_dim(c):
-        raise DomainError("state length must equal the total number of simplices")
     hnorm = float(np.linalg.norm(dec.apply(dec.kernel, g)))
     if hnorm > WAVE_HARMONIC_TOL:
         raise DomainError(f"initial velocity has harmonic component of norm {hnorm:.3e}")
@@ -124,10 +128,9 @@ def wave_flow(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
 
 def wave_velocity(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
     """Time derivative of the wave flow: -D sin(Dt) f0 + cos(Dt) g0."""
+    f, g = _state(c, f0, float), _state(c, g0, float)
     dec = sym_eigen(dirac(c))
     w = dec.eigenvalues
-    f = np.asarray(f0, dtype=float)
-    g = np.asarray(g0, dtype=float)
     return dec.apply(-w * np.sin(w * t), f) + dec.apply(np.cos(w * t), g)
 
 

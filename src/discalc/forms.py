@@ -6,10 +6,10 @@ table ``GraphComplex.faces``.  They are exact: every entry of d is 0 or
 dimension, far below 2^63, so identities like d.d = 0 and L = D^2 hold
 exactly.  Form values stay Python objects (an int64 operator times an
 object vector is exact object arithmetic).  ``apply_d`` builds no matrix:
-it gathers the face values of each simplex through the face table and
-adds them with signs (-1)^i.  This module is exact-only:
-spectral work (flows, the Poisson/Maxwell solve) lives in
-``discalc.evolution``.
+it gathers the face values of each simplex through the face table and adds
+them with signs (-1)^i; ``boundary_faces`` counts face positions mod 2, and
+the Stokes boundary sum uses the signs ``orient_region`` propagates over
+the table.  Exact-only: flows and the Poisson/Maxwell solve live in ``discalc.evolution``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import GraphComplex, Orientation, orient_region, _faces
+from .complexes import GraphComplex, Orientation, orient_region
 from .numcore import DomainError
 
 
@@ -174,12 +174,11 @@ def line_integral(F: Form, path) -> object:
 
 
 def boundary_faces(c: GraphComplex, k: int, region) -> list:
-    """Faces incident to an odd number of region simplices (mod-2 boundary)."""
-    counts = {}
-    for s in region:
-        for _, f in _faces(tuple(s)):
-            counts[f] = counts.get(f, 0) + 1
-    return [f for f, n in counts.items() if n % 2 == 1]
+    """Faces incident to an odd number of region k-simplices (mod-2 boundary),
+    in table order: the region's face positions in ``c.faces[k]`` counted mod 2."""
+    rows = c.positions(k, region)
+    counts = np.bincount(c.faces[k][rows].ravel(), minlength=c.count(k - 1))
+    return [c.simplices[k - 1][f] for f in np.flatnonzero(counts % 2)]
 
 
 def stokes_sides(c: GraphComplex, region, F: Form, orientation: Optional[Orientation] = None):

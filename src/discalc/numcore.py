@@ -26,9 +26,6 @@ class GaussianInteger:
     re: int
     im: int
 
-    def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re + other.re, self.im + other.im)
-
     def __sub__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger(self.re - other.re, self.im - other.im)
 
@@ -37,9 +34,6 @@ class GaussianInteger:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def scale(self, c: int) -> "GaussianInteger":
-        return GaussianInteger(c * self.re, c * self.im)
 
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
@@ -63,12 +57,6 @@ class GaussianRational:
 
     re: Fraction
     im: Fraction
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
 
 
 @dataclass(frozen=True)
@@ -190,20 +178,24 @@ def exp_exact(a: int, x: int):
     return Fraction(1, (1 + a) ** (-x))
 
 
+def _steps(x: float, h: float) -> float:
+    """x/h, the number of steps of size h up to x."""
+    if h == 0 or not math.isfinite(x / h):
+        raise DomainError("x/h needs h != 0 and a finite quotient")
+    return x / h
+
+
 def exp_h(a: float, h: float, x: float) -> float:
     """Deformed exponential (1 + a h)^(x/h); approaches e^(ax) as h -> 0."""
-    base = 1 + a * h
-    if base == 0:
-        if (x / h) == int(x / h):
-            return 0.0 ** (x / h)
-        raise DomainError("1 + a h = 0 with non-integer x/h")
-    return base ** (x / h)
+    base, power = 1 + a * h, _steps(x, h)
+    if base <= 0 and power % 1 != 0 or base == 0 and power < 0:
+        raise DomainError("1 + a h <= 0 needs an integer x/h, and 1 + a h = 0 a nonnegative one")
+    return base ** power
 
 
 def exp_h_complex(a: float, h: float, x: float) -> complex:
     """Deformed complex exponential (1 + i a h)^(x/h)."""
-    base = 1 + 1j * a * h
-    return base ** (x / h)
+    return (1 + 1j * a * h) ** _steps(x, h)
 
 
 def sin_h(a: float, h: float, x: float) -> float:

@@ -1,8 +1,16 @@
+import contextlib
 import hashlib
+import io
+import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from discalc import cli
 
 
 def run_cli(*args, cwd=None):
@@ -260,10 +268,26 @@ class TestFrontDoor:
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n9,2\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n-1,2\n"}, 2),
         (("forms", "laplacian", "--degree", "9", "--gen", "cycle:4"), {}, 2),
+        (("pde", "heat", "--gen", "cycle:5", "--t", "inf", "--form", "{f}"), {"f": "0,0,1\n"}, 1),
+        (("pde", "heat", "--gen", "cycle:5", "--t", "nan", "--form", "{f}"), {"f": "0,0,1\n"}, 1),
+        (("plot", "--fn", "sin", "--a", "nan", "--range", "0:1", "--out", "{o}"), {}, 1),
+        (("plot", "--fn", "sin", "--h=-inf", "--range", "0:1", "--out", "{o}"), {}, 1),
+        (("plot", "--fn", "sin", "--range", "0:inf", "--out", "{o}"), {}, 1),
+        (("plot", "--fn", "sin", "--range", "0:nan", "--out", "{o}"), {}, 1),
+        (("plot", "--fn", "exp", "--h", "0", "--range", "0:1", "--out", "{o}"), {}, 2),
+        (("plot", "--fn", "sin", "--h", "0", "--range", "0:1", "--out", "{o}"), {}, 2),
+        (("plot", "--fn", "exp", "--a", "-2", "--h", "1", "--range", "0:1", "--out", "{o}"), {}, 2),
+        (("plot", "--fn", "exp", "--a", "1e308", "--range", "0:10", "--out", "{o}"), {}, 2),
+        (("plot", "--fn", "pow:-3", "--range", "0:1", "--out", "{o}"), {}, 2),
+        (("pde", "heat", "--gen", "cycle:5", "--t", "1", "--form", "{f}"), {"f": "0,0,1e400\n"}, 2),
+        (("pde", "schrodinger", "--gen", "cycle:5", "--t", "1", "--form", "{f}"), {"f": "0,0,1e400\n"}, 2),
+        (("forms", "poisson", "--gen", "cycle:5", "--current", "{f}"), {"f": "1,0-1,1e400\n"}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "simplex-descending", "value-not-number",
             "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
             "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
-            "laplacian-degree-past-top"])
+            "laplacian-degree-past-top", "t-inf", "t-nan", "a-nan", "h-inf", "range-inf", "range-nan",
+            "exp-h-zero", "sin-h-zero", "exp-negative-base", "exp-overflow", "pow-negative",
+            "heat-value-past-float", "schrodinger-value-past-float", "poisson-value-past-float"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -350,3 +374,118 @@ class TestUsage:
             second = run_cli(*args)
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the front door in-process: argv from the subcommand grammar, input
+# files with random contents.  Sizes stay small (generator n <= 6, numbers of
+# a few digits), so that every op is cheap.
+
+SPECIAL_FLOATS = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "1e400", "1e308", "-1e308", "5e-324"]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats().map(repr),
+                   st.integers(-99, 99).map(str), st.integers(-400, 400).map(lambda n: str(n / 8)))
+small_ints = st.integers(-3, 99).map(str)
+generators = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["cycle", "wheel", "complete", "star", "linear", "path"]),
+              st.integers(-1, 6)),
+    st.builds("{}:{}".format, st.sampled_from(["hexpatch", "annulus"]), st.integers(-1, 2)),
+    st.sampled_from(["octahedron", "icosahedron", "cube", "moebius", "hexpatch", "cycle", "cycle:abc", "nosuch:3", ""]),
+)
+simplices = st.one_of(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True).map(sorted),
+                      st.lists(st.integers(-1, 12), min_size=1, max_size=4)).map(lambda vs: "-".join(map(str, vs)))
+values = st.one_of(floats, st.sampled_from(["1/2", "-3/4", "1/0", "x", "", " 7 "]))
+
+
+def rows(*columns, max_size=8):
+    return st.lists(st.tuples(*columns).map(lambda r: ",".join(map(str, r))), max_size=max_size).map("\n".join)
+
+
+junk_csv = rows(st.one_of(small_ints, values), st.one_of(small_ints, simplices, values))
+sample_csv = st.one_of(junk_csv, st.builds(lambda base, ys: "\n".join(f"{base + i},{y}" for i, y in enumerate(ys)),
+                                           st.integers(-3, 3), st.lists(st.one_of(small_ints, values), max_size=6)))
+vertex_csv = st.one_of(junk_csv, st.permutations(range(12)).map(
+    lambda p: "vertex,value\n" + "\n".join(f"{v},{p[v]}" for v in range(12))))
+form_csv = rows(st.integers(-1, 3), simplices, values, max_size=6).map("degree,simplex,value\n".__add__)
+graph_json = st.one_of(
+    st.builds(lambda n, edges: json.dumps({"vertices": n, "edges": edges}), st.integers(-1, 6),
+              st.lists(st.lists(st.integers(-1, 6), min_size=0, max_size=3), max_size=10)),
+    st.sampled_from(['{"vertices": "a", "edges": []}', '{"vertices": 3.5, "edges": []}', '{"edges": 5}',
+                     '[1, 2]', 'null', '{"vertices": 2, "edges": [[0, 1]], "labels": 5}', 'not json']),
+)
+expressions = st.one_of(
+    st.lists(st.sampled_from(["x", "[x]^3", "x^2", "2^x", "1/2^x", "sin(2.x)", "cos(-1.x)", "exp(1.x)",
+                              "log(x)", "3", "1/3", "(x+1)", "0^x", "exp(-1.x)", "x^0"]), min_size=1, max_size=3)
+    .flatmap(lambda terms: st.sampled_from(["+", "-", "*"]).map(lambda op: op.join(terms))),
+    st.text(alphabet="x[]^()+-*/.0123 sinco", max_size=5),
+)
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, files): '{name}' in argv is the path of files[name] in a scratch directory."""
+    files = {}
+
+    def file(contents):
+        name = f"f{len(files)}"
+        files[name] = draw(contents)
+        return draw(st.sampled_from(["{%s}" % name] * 8 + ["{dir}", "{dir}/missing.csv"]))
+
+    def option(name, value, present=0.5):
+        # '--name value', '--name=value' (needed for a value with a leading '-') or left out
+        if draw(st.floats(0, 1)) >= present:
+            return []
+        value = draw(value)
+        return [name, value] if draw(st.booleans()) else [f"{name}={value}"]
+
+    def graph():
+        return ["--gen", draw(generators)] if draw(st.booleans()) else ["--file", file(graph_json)]
+
+    degree = st.integers(-2, 4).map(str)
+    command = draw(st.sampled_from(["eval", "sum", "taylor", "graph", "forms", "pde", "plot"]))
+    if command == "eval":
+        argv = ["eval", draw(expressions), *option("--at", small_ints, 0.9),
+                *option("--op", st.sampled_from(["none", "diff", "sum", "x"]))]
+    elif command == "sum":
+        argv = ["sum", draw(expressions), *option("--from", small_ints, 0.9), *option("--to", small_ints, 0.9)]
+    elif command == "taylor":
+        argv = ["taylor", "--samples", file(sample_csv), *option("--eval", small_ints)]
+        argv += draw(st.sampled_from([["--print"], []]))
+    elif command == "graph":
+        action = draw(st.sampled_from(["info", "betti", "curvature", "indices", "classify", "bogus"]))
+        argv = ["graph", action, *graph()]
+        if action == "indices" and draw(st.booleans()):
+            argv += ["--fn", file(vertex_csv)]
+    elif command == "forms":
+        action = draw(st.sampled_from(["dirac", "laplacian", "stokes", "poisson"]))
+        argv = ["forms", action, *graph(), *option("--degree", degree)]
+        argv += draw(st.sampled_from([["--form", file(form_csv)], ["--current", file(form_csv)], []]))
+    elif command == "pde":
+        action = draw(st.sampled_from(["heat", "wave", "schrodinger"]))
+        argv = ["pde", action, *graph(), "--form", file(form_csv), *option("--t", floats, 0.9),
+                *option("--degree", degree)]
+        if action == "wave" and draw(st.booleans()):
+            argv += ["--velocity", file(form_csv)]
+    else:
+        fn = draw(st.one_of(st.sampled_from(["sin", "cos", "exp", "log", "sinh"]),
+                            st.integers(-3, 30).map("pow:{}".format)))
+        argv = ["plot", "--fn", fn, *option("--a", floats), *option("--h", floats),
+                *option("--range", st.tuples(floats, floats).map(":".join), 0.9), "--out", "{dir}/out.svg"]
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "1", "--gen"])))
+    return argv, files
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=cli_cases())
+    def test_every_input_exits_0_1_or_2(self, case):
+        argv, files = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"dir": tmp}
+            for name, text in files.items():
+                paths[name] = os.path.join(tmp, name)
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([a.format(**paths) for a in argv])
+        assert code in (0, 1, 2)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from discalc import complexes as cx
+from discalc import complexes as cx, forms as fm
 from discalc.numcore import DomainError
 
 from conftest import random_graph
@@ -93,10 +93,6 @@ class TestBuildComplex:
     def test_complete_graph_counts(self):
         c = cx.build_complex(cx.generate("complete", 5))
         assert c.counts() == (5, 10, 10, 5, 1)
-
-    def test_max_dim_truncation(self):
-        c = cx.build_complex(cx.generate("complete", 5), max_dim=1)
-        assert c.counts() == (5, 10)
 
     def test_cube_has_no_triangles(self):
         c = cx.build_complex(cx.generate("cube"))
@@ -281,6 +277,41 @@ class TestOrientation:
         o = cx.orient_region(c, 1, [(0, 1)])
         assert o.signs == {(0, 1): 1}
         assert o.boundary_signs == {(0,): -1, (1,): 1}
+
+
+    @staticmethod
+    def random_patch(rng, c):
+        """A connected set of triangles grown from a random one, in random order."""
+        triangles = list(c.simplices[2])
+        patch = [rng.choice(triangles)]
+        for _ in range(rng.randint(0, len(triangles) - 1)):
+            frontier = [t for t in triangles if t not in patch and any(len(set(t) & set(p)) == 2 for p in patch)]
+            if not frontier:
+                break
+            patch.append(rng.choice(frontier))
+        rng.shuffle(patch)
+        return patch
+
+    def test_orientation_sums_on_random_discs(self):
+        # every face: sum over region simplices s of signs[s] * (-1)^i, with i the
+        # dropped vertex, is 0 inside and the induced sign on the boundary
+        rng = random.Random(17)
+        ico = cx.build_complex(cx.generate("icosahedron"))
+        for n in range(40):
+            c = ico if n % 2 else cx.build_complex(cx.generate("wheel", rng.randint(4, 9)))
+            region = self.random_patch(rng, c)
+            o = cx.orient_region(c, 2, region)
+            assert set(o.signs) == set(region)
+            sums, incident = {}, {}
+            for s in region:
+                for i in range(3):
+                    f = s[:i] + s[i + 1:]
+                    sums[f] = sums.get(f, 0) + o.signs[s] * (-1) ** i
+                    incident[f] = incident.get(f, 0) + 1
+            for f, total in sums.items():
+                assert total == (o.boundary_signs[f] if incident[f] == 1 else 0)
+            assert set(o.boundary_signs) == {f for f, m in incident.items() if m == 1}
+            assert fm.boundary_faces(c, 2, region) == sorted(o.boundary_signs)
 
 
 class TestLevelCurve:

@@ -43,6 +43,11 @@ class TestSymEigen:
         with pytest.raises(ArithmeticError):
             ev.sym_eigen(fm.laplacian_block(complex_of("cycle:4"), 0))
 
+    def test_kernel_eigenvalues_exactly_zero(self):
+        for spec in ("cycle:5", "octahedron", "annulus:2"):
+            dec = ev.sym_eigen(fm.dirac(complex_of(spec)))
+            assert dec.kernel.any() and (dec.eigenvalues[dec.kernel] == 0.0).all()
+
     def test_reconstruct(self):
         m = fm.laplacian_block(complex_of("wheel:5"), 1).data.astype(float)
         dec = ev.sym_eigen(m)
@@ -62,6 +67,13 @@ class TestHeatFlow:
         out = ev.heat_flow(c, 0, f0, 50.0).values.astype(float)
         mean = sum(float(v) for v in f0.values) / 5
         assert np.abs(out - mean).max() < 1e-8
+
+    def test_long_time_is_the_mean(self):
+        # a rounding-error kernel eigenvalue such as -4e-16 would grow as exp(4e-16 t)
+        c = complex_of("cycle:5")
+        f0 = fm.Form(c, 0, np.array([1, 0, 0, 0, 0], dtype=object))
+        for t in (1e15, 1e17):
+            assert np.abs(ev.heat_flow(c, 0, f0, t).values.astype(float) - 0.2).max() < 1e-12
 
     def test_total_mass_conserved(self):
         c = complex_of("wheel:6")
@@ -172,6 +184,15 @@ class TestWaveFlow:
         t, h = 0.9, 1e-6
         numeric = (ev.wave_flow(c, f0, g0, t + h) - ev.wave_flow(c, f0, g0, t - h)) / (2 * h)
         assert np.abs(numeric - ev.wave_velocity(c, f0, g0, t)).max() < 1e-5
+
+    @pytest.mark.parametrize("flow, f_len, g_len", [
+        (ev.wave_flow, 11, 12), (ev.wave_flow, 12, 11),
+        (ev.wave_velocity, 11, 12), (ev.wave_velocity, 12, 11),
+    ])
+    def test_state_length_checked(self, flow, f_len, g_len):
+        c = complex_of("cycle:6")  # 12 simplices
+        with pytest.raises(DomainError):
+            flow(c, np.zeros(f_len), np.zeros(g_len), 1.0)
 
     def test_harmonic_velocity_rejected(self):
         c = complex_of("cycle:4")

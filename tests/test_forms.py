@@ -203,6 +203,12 @@ class TestStokes:
             tuple(sorted((i, (i + 1) % 6))) for i in range(6)
         )
 
+    @pytest.mark.parametrize("k, region", [(2, [(0, 1, 6), (0, 2, 6)]), (1, [(0, 1), (7, 8)]), (3, [])],
+                             ids=["not-a-triangle", "vertex-out-of-range", "degree-past-top"])
+    def test_boundary_faces_outside_complex_rejected(self, k, region):
+        with pytest.raises(DomainError):
+            fm.boundary_faces(cx.build_complex(cx.generate("wheel", 6)), k, region)
+
 
 class TestProducts:
     def test_dot_and_length(self):

@@ -151,6 +151,19 @@ class TestExpH:
         with pytest.raises(nc.DomainError):
             nc.exp_h(-1, 1, 0.5)
 
+    @pytest.mark.parametrize("fn, a, h, x", [
+        (nc.exp_h, -3, 1, 0.5), (nc.exp_h, -1, 1, -2), (nc.exp_h, 1, 0, 1), (nc.exp_h, 1, 5e-324, -1.0),
+        (nc.exp_h_complex, 1, 0, 1), (nc.exp_h_complex, 1, 5e-324, -1.0),
+    ], ids=["negative-base", "zero-base-negative-power", "h-zero", "steps-past-float",
+            "complex-h-zero", "complex-steps-past-float"])
+    def test_step_and_base_rejected(self, fn, a, h, x):
+        with pytest.raises(nc.DomainError):
+            fn(a, h, x)
+
+    def test_negative_base_integer_power(self):
+        assert nc.exp_h(-3, 1, 3) == -8
+        assert nc.exp_h(-1, 1, 2) == 0
+
 
 class TestTan:
     def test_period_start(self):
