@@ -26,10 +26,15 @@ for v in range(6):
     print(f"  vertex {v}: index {report.indices[v]:2d}  ({report.classes[v]})")
 print("  total =", report.total, " = chi")
 
-# Averaging the index over every injective ordering recovers curvature
+# Averaging the index over every injective ordering recovers curvature:
+# Gauss-Bonnet by two routes.  Each vertex only needs the orderings of its
+# own neighbours, so the 12! orderings of the icosahedron are never walked.
 path3 = cx.build_complex(cx.generate("path", 3))
 print("\nindex expectation on the 3-vertex path:", tp.index_expectation(path3))
 print("curvature of the same path:            ", tp.curvature_vector(path3))
+ico = cx.build_complex(cx.generate("icosahedron"))
+print("index expectation on the icosahedron:", " ".join(map(str, tp.index_expectation(ico))))
+print("curvature of the icosahedron:        ", " ".join(map(str, tp.curvature_vector(ico))))
 
 # The Umlaufsatz: boundary curvatures of a flat disc sum to 1,
 # and of a flat annulus (one hole) to 0
@@ -40,7 +45,6 @@ print("boundary curvature total, hex annulus:",
 
 # Level curves of a random injective function on the icosahedron are
 # disjoint unions of cycles
-ico = cx.build_complex(cx.generate("icosahedron"))
 rng = random.Random(0)
 values = list(range(12))
 rng.shuffle(values)

@@ -332,16 +332,9 @@ def _plot_functions(fn: str, a: float, h: float):
         return (lambda x: log_discrete(x), lambda x: math.log(x))
     if fn.startswith("pow:"):
         n = _parsed(int, fn.split(":", 1)[1], "--fn pow:N")
-        if n < 0:
-            raise DomainError("pow:N needs N >= 0")
-
-        def falling(x):
-            result = 1.0
-            for j in range(n):
-                result *= x - j * h
-            return result
-
-        return (falling, lambda x: x ** n)
+        if not 0 <= n <= expr.MAX_POWER:
+            raise DomainError(f"pow:N needs 0 <= N <= {expr.MAX_POWER}")
+        return (lambda x: math.prod((x - j * h for j in range(n)), start=1.0), lambda x: x ** n)
     raise UsageError(f"unknown plot function {fn!r}")
 
 

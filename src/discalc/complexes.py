@@ -183,20 +183,8 @@ def hex_patch(radius: int) -> Graph:
 def hex_annulus(radius: int = 2) -> Graph:
     """Hex patch with the central vertex removed; one hole (b_1 = 1)."""
     patch = hex_patch(radius)
-    # the origin is the interior (degree-6) vertex whose neighbors are all
-    # interior as well
-    center = None
-    degrees = [len(patch.neighbors(v)) for v in range(patch.vertex_count)]
-    interior = [v for v in range(patch.vertex_count) if degrees[v] == 6]
-    # the origin is adjacent only to other degree-6 vertices
-    for v in interior:
-        if all(degrees[w] == 6 for w in patch.neighbors(v)):
-            center = v
-            break
-    if center is None:
-        raise DomainError("no interior vertex found")
-    sub, _ = patch.induced(set(range(patch.vertex_count)) - {center})
-    return sub
+    # the origin is the middle of hex_patch's sorted, negation-symmetric point list
+    return patch.induced(set(range(patch.vertex_count)) - {patch.vertex_count // 2})[0]
 
 
 def moebius_strip() -> Graph:

@@ -104,11 +104,20 @@ def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
     return Form(c, k, dec.apply(np.exp(-dec.eigenvalues * t), v))
 
 
+def _phases(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """w t for the eigenvalues w; DomainError when a product leaves the float range."""
+    with np.errstate(over="ignore"):
+        wt = dec.eigenvalues * t
+    if not np.isfinite(wt).all():
+        raise DomainError(f"eigenvalue * t leaves the float range at t = {t!r}")
+    return wt
+
+
 def schrodinger_flow(c: GraphComplex, f0, t: float) -> np.ndarray:
     """e^(itD) f0 on the full form space; unitary."""
     v = _state(c, f0, complex)
     dec = sym_eigen(dirac(c))
-    return dec.apply(np.exp(1j * dec.eigenvalues * t), v)
+    return dec.apply(np.exp(1j * _phases(dec, t)), v)
 
 
 def wave_flow(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
@@ -122,7 +131,7 @@ def wave_flow(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
     hnorm = float(np.linalg.norm(dec.apply(dec.kernel, g)))
     if hnorm > WAVE_HARMONIC_TOL:
         raise DomainError(f"initial velocity has harmonic component of norm {hnorm:.3e}")
-    wt = dec.eigenvalues * t
+    wt = _phases(dec, t)
     return dec.apply(np.cos(wt), f) + dec.apply(np.sin(wt) * dec.pinv, g)
 
 
@@ -130,8 +139,8 @@ def wave_velocity(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
     """Time derivative of the wave flow: -D sin(Dt) f0 + cos(Dt) g0."""
     f, g = _state(c, f0, float), _state(c, g0, float)
     dec = sym_eigen(dirac(c))
-    w = dec.eigenvalues
-    return dec.apply(-w * np.sin(w * t), f) + dec.apply(np.cos(w * t), g)
+    w, wt = dec.eigenvalues, _phases(dec, t)
+    return dec.apply(-w * np.sin(wt), f) + dec.apply(np.cos(wt), g)
 
 
 class HarmonicComponentError(ValueError):

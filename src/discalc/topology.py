@@ -1,10 +1,11 @@
 """Euler characteristic, Betti numbers, curvature and critical-point indices.
 
-Everything is exact: curvature and index expectations are rationals, and
-Betti numbers come from the rank over Q of each d_k, read from the face
-table ``GraphComplex.faces`` by sparse fraction-free elimination (no
-dense matrix, no modular step).  The dense Bareiss ``integer_rank`` is
-kept as the independent test oracle for that rank.
+Everything is exact: curvature and index expectations are rationals, the
+expectation by a local enumeration at each vertex.  Betti numbers come from
+the rank over Q of each d_k, read from the face table ``GraphComplex.faces``
+by sparse fraction-free elimination (no dense matrix, no modular step).  The
+dense Bareiss ``integer_rank`` is kept as the independent test oracle for
+that rank.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from fractions import Fraction
 
 from .complexes import Graph, GraphComplex, build_complex, classify, connected_components, is_cycle_graph, unit_sphere
 from .numcore import DomainError
+
+
+MAX_EXPECTATION_DEGREE = 10  # index_expectation sums 2^degree subsets per vertex; complete:11 takes about 2 s
 
 
 def euler_characteristic(c: GraphComplex) -> int:
@@ -114,14 +118,6 @@ def curvature_vector(c: GraphComplex) -> tuple:
     return tuple(curvature(c, x) for x in range(c.graph.vertex_count))
 
 
-def surface_curvature_shortcut(c: GraphComplex, x: int) -> Fraction:
-    """1 - |S(x)|/6 for cycle spheres; cross-check only."""
-    sphere, _ = unit_sphere(c, x)
-    if not is_cycle_graph(sphere, min_len=3):
-        raise DomainError("shortcut needs a cycle unit sphere")
-    return 1 - Fraction(sphere.vertex_count, 6)
-
-
 # ---------------------------------------------------------------------------
 # Poincare-Hopf indices
 
@@ -182,21 +178,28 @@ def poincare_hopf(c: GraphComplex, f) -> IndexReport:
     return IndexReport(indices, tuple(kind for _, kind in pairs), sum(indices))
 
 
-def index_expectation(c: GraphComplex, max_vertices: int = 10) -> tuple:
-    """Average of i_f(x) over all injective orderings, as exact rationals.
+def index_expectation(c: GraphComplex) -> tuple:
+    """Average of i_f(x) over all vertex orderings f, as exact rationals.
 
-    Exhaustive over |V|! permutations, so capped at max_vertices.
+    i_f(x) = 1 - chi(S^-(x)) depends only on the set A of neighbours below x, and an
+    ordering puts exactly A below x with probability |A|!(d-|A|)!/(d+1)! (Knill,
+    arXiv:1202.4514).  So a vertex of degree d sums over the 2^d subsets of its unit
+    sphere (chi of the empty set is 0); d above MAX_EXPECTATION_DEGREE raises DomainError.
+    This enumeration is not the curvature formula restated: it checks Gauss-Bonnet.
     """
-    n = c.graph.vertex_count
-    if n > max_vertices:
-        raise DomainError(f"exhaustive index expectation capped at {max_vertices} vertices")
-    totals = [0] * n
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        count += 1
-        for x in range(n):
-            totals[x] += index(c, perm, x)
-    return tuple(Fraction(t, count) for t in totals)
+    g = c.graph
+    spheres = [sorted(g.neighbors(x)) for x in range(g.vertex_count)]
+    if any(len(sphere) > MAX_EXPECTATION_DEGREE for sphere in spheres):
+        raise DomainError(f"index expectation enumerates 2^degree subsets; degree capped at {MAX_EXPECTATION_DEGREE}")
+    out = []
+    for sphere in spheres:
+        d, total = len(sphere), 0
+        for size in range(d + 1):
+            for below in itertools.combinations(sphere, size):
+                chi = euler_characteristic(build_complex(g.induced(below)[0])) if below else 0
+                total += math.factorial(size) * math.factorial(d - size) * (1 - chi)
+        out.append(Fraction(total, math.factorial(d + 1)))
+    return tuple(out)
 
 
 def umlaufsatz_sum(c: GraphComplex) -> Fraction:

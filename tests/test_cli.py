@@ -282,12 +282,17 @@ class TestFrontDoor:
         (("pde", "heat", "--gen", "cycle:5", "--t", "1", "--form", "{f}"), {"f": "0,0,1e400\n"}, 2),
         (("pde", "schrodinger", "--gen", "cycle:5", "--t", "1", "--form", "{f}"), {"f": "0,0,1e400\n"}, 2),
         (("forms", "poisson", "--gen", "cycle:5", "--current", "{f}"), {"f": "1,0-1,1e400\n"}, 2),
+        (("pde", "schrodinger", "--gen", "cycle:4", "--t", "1.7e308", "--form", "{f}"), {"f": "0,0,1\n"}, 2),
+        (("pde", "wave", "--gen", "cycle:4", "--t", "1e308", "--form", "{f}"), {"f": "0,0,1\n"}, 2),
+        (("sum", "x^100000", "--from", "0", "--to", "3"), {}, 2),
+        (("plot", "--fn", "pow:100000", "--range", "0:1", "--out", "{o}"), {}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "simplex-descending", "value-not-number",
             "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
             "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
             "laplacian-degree-past-top", "t-inf", "t-nan", "a-nan", "h-inf", "range-inf", "range-nan",
             "exp-h-zero", "sin-h-zero", "exp-negative-base", "exp-overflow", "pow-negative",
-            "heat-value-past-float", "schrodinger-value-past-float", "poisson-value-past-float"])
+            "heat-value-past-float", "schrodinger-value-past-float", "poisson-value-past-float",
+            "schrodinger-t-past-float", "wave-t-past-float", "sum-power-past-bound", "plot-pow-past-bound"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():

@@ -166,6 +166,22 @@ class TestGenerators:
         assert cls.kind == "surface"
         assert cls.flat
 
+    @pytest.mark.parametrize("radius", [2, 3, 4])
+    def test_annulus_hole_is_central(self, radius):
+        # the six vertices around the hole all lie radius - 1 steps inside the outer boundary
+        g = cx.hex_annulus(radius)
+        boundary = cx.classify(cx.build_complex(g)).boundary
+        # the hole's rim lost one of six neighbours; the outer rim keeps three or four
+        inner = [v for v in boundary if len(g.neighbors(v)) == 5]
+        outer = [v for v in boundary if len(g.neighbors(v)) < 5]
+        assert (len(inner), len(outer)) == (6, 6 * radius)
+        distance, frontier, step = {}, set(outer), 0
+        while frontier:
+            distance.update(dict.fromkeys(frontier, step))
+            frontier = {w for v in frontier for w in g.neighbors(v) if w not in distance}
+            step += 1
+        assert [distance[v] for v in inner] == [radius - 1] * 6
+
     def test_moebius_counts(self):
         c = cx.build_complex(cx.moebius_strip())
         assert c.counts() == (9, 18, 9)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from discalc import expr
+from discalc import expr, interpolate as ip
 from discalc.expr import (
     Const,
     ExpBase,
@@ -16,6 +16,7 @@ from discalc.expr import (
     make_product,
     make_sum,
 )
+from discalc.numcore import DomainError, Sequence
 
 
 class TestParse:
@@ -67,6 +68,21 @@ class TestEval:
 
     def test_negative_argument_trig(self):
         assert expr.evaluate(expr.parse("sin(1.x)"), -1) == Fraction(-1, 2)
+
+
+class TestFallingRewrite:
+    def test_matches_newton_gregory(self):
+        # the Stirling recurrence against the forward-difference table of k^n at 0
+        for n in range(40):
+            table = ip.forward_differences(Sequence(0, tuple(k ** n for k in range(n + 1))))
+            assert expr.plain_to_falling(n) == expr.from_difference_table(table.coeffs)
+
+    def test_bound(self):
+        assert expr.evaluate(expr.plain_to_falling(expr.MAX_POWER), 2) == 2 ** expr.MAX_POWER
+        with pytest.raises(DomainError):
+            expr.plain_to_falling(expr.MAX_POWER + 1)
+        # evaluating a bare x^N needs no rewrite, so it is not bounded
+        assert expr.evaluate(expr.parse(f"x^{10 * expr.MAX_POWER}"), 2) == 2 ** (10 * expr.MAX_POWER)
 
 
 class TestDerivative:
@@ -156,6 +172,19 @@ class TestDefiniteSum:
             brute = sum(expr.evaluate(tree, k) for k in range(lo, hi))
             assert expr.definite_sum(tree, lo, hi) == brute
 
+    def test_closed_form_cost_does_not_grow_with_the_window(self, monkeypatch):
+        calls = []
+        evaluate = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda node, x: calls.append(x) or evaluate(node, x))
+        tree = expr.parse("3*x^2 - sin(2.x) + 2^x")
+        counts = []
+        for hi in (10, 10 ** 5):
+            calls.clear()
+            expr.definite_sum(tree, -3, hi)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert expr.definite_sum(expr.parse("x^2"), 0, 10 ** 8 + 1) == 333333338333333350000000
+
 
 # strategy for parseable, canonically constructed trees
 _atoms = st.one_of(
@@ -188,6 +217,11 @@ class TestRoundTrip:
         dF = expr.derivative(F)
         for x in range(0, 21):
             assert expr.evaluate(dF, x) == expr.evaluate(tree, x)
+
+    @given(_trees, st.integers(-30, 30), st.integers(0, 30))
+    def test_definite_sum_is_the_brute_force_sum(self, tree, lo, width):
+        brute = sum(expr.evaluate(tree, k) for k in range(lo, lo + width))
+        assert expr.definite_sum(tree, lo, lo + width) == brute
 
     def test_negative_exp_base_round_trip(self):
         node = ExpBase(Fraction(-2))

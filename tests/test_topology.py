@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -109,10 +110,13 @@ class TestCurvature:
         assert tp.curvature_vector(c) == (Fraction(1, 6),) * 12
 
     def test_surface_shortcut_agrees(self):
+        # on a surface with cycle unit spheres, K(x) = 1 - |S(x)|/6
         for spec in ("octahedron", "icosahedron"):
             c = complex_of(spec)
             for x in range(c.graph.vertex_count):
-                assert tp.curvature(c, x) == tp.surface_curvature_shortcut(c, x)
+                sphere, _ = cx.unit_sphere(c, x)
+                assert cx.is_cycle_graph(sphere, min_len=3)
+                assert tp.curvature(c, x) == 1 - Fraction(sphere.vertex_count, 6)
 
     def test_flat_interior(self):
         c = cx.build_complex(cx.hex_patch(2))
@@ -192,6 +196,14 @@ class TestIndices:
             assert tp.poincare_hopf(c, values).total == chi
 
 
+def index_expectation_by_orderings(c: cx.GraphComplex) -> tuple:
+    """The mean of i_f(x) over all |V|! orderings f: the exhaustive oracle, for <= 7 vertices."""
+    n = c.graph.vertex_count
+    assert n <= 7, "the oracle walks |V|! orderings"
+    perms = list(itertools.permutations(range(n)))
+    return tuple(Fraction(sum(tp.index(c, f, x) for f in perms), len(perms)) for x in range(n))
+
+
 class TestIndexExpectation:
     def test_path3(self):
         c = complex_of("path:3")
@@ -212,9 +224,27 @@ class TestIndexExpectation:
             expectation = tp.index_expectation(c)
             assert sum(expectation) == tp.euler_characteristic(c)
 
-    def test_cap(self):
+    def test_matches_all_orderings(self):
+        for spec in ("wheel:6", "octahedron", "star:5"):
+            c = complex_of(spec)
+            assert tp.index_expectation(c) == index_expectation_by_orderings(c)
+        rng = random.Random(26)
+        for n in (2, 3, 4, 5, 5, 6, 6, 7):
+            c = cx.build_complex(random_connected_graph(rng, n, rng.uniform(0.2, 0.8)))
+            assert tp.index_expectation(c) == index_expectation_by_orderings(c)
+
+    def test_equals_curvature_past_the_orderings(self):
+        # Gauss-Bonnet by two routes, on graphs with 12 and 61 vertices
+        for spec in ("icosahedron", "hexpatch:4"):
+            c = complex_of(spec)
+            assert tp.index_expectation(c) == tp.curvature_vector(c)
+
+    def test_degree_cap(self):
+        cap = tp.MAX_EXPECTATION_DEGREE
+        c = complex_of(f"wheel:{cap}")  # the hub has degree cap
+        assert tp.index_expectation(c) == tp.curvature_vector(c)
         with pytest.raises(DomainError):
-            tp.index_expectation(complex_of("cycle:12"))
+            tp.index_expectation(complex_of(f"wheel:{cap + 1}"))
 
 
 class TestUmlaufsatz:
