@@ -1,15 +1,3 @@
 """Exact difference calculus on the integers and exterior calculus on graphs."""
 
-from . import complexes, evolution, expr, forms, interpolate, numcore, topology
-
-__all__ = [
-    "complexes",
-    "evolution",
-    "expr",
-    "forms",
-    "interpolate",
-    "numcore",
-    "topology",
-]
-
 __version__ = "0.1.0"

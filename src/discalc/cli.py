@@ -15,8 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import complexes as cx
 from . import evolution as ev
 from . import expr
@@ -121,17 +119,14 @@ def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
     for row in _csv_rows(path, "degree", 3):
         d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
         value = _parsed(Fraction if "/" in row[2] or "." not in row[2] else _finite, row[2], path)
-        position = c.index[d].get(simplex) if 0 <= d <= c.top_dim else None
-        if position is None:
-            raise DomainError(f"{_simplex_name(simplex)} is not a {d}-simplex of the complex")
-        rows.append((d, position, value))
+        rows.append((d, c.positions(d, [simplex])[0], value))
     return rows
 
 
 def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
     if not 0 <= degree <= c.top_dim:
         raise DomainError(f"the complex has no {degree}-simplices")
-    values = np.full(c.count(degree), 0, dtype=object)
+    values = [0] * c.count(degree)
     for d, i, value in _load_form_rows(path, c):
         if d != degree:
             raise DomainError(f"expected degree-{degree} rows, found degree {d}")
@@ -139,9 +134,9 @@ def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
     return forms.Form(c, degree, values)
 
 
-def _load_state_vector(path: str, c: cx.GraphComplex) -> np.ndarray:
+def _load_state_vector(path: str, c: cx.GraphComplex) -> list:
     offsets = forms.block_offsets(c)
-    vec = np.zeros(forms.total_dim(c))
+    vec = [0.0] * forms.total_dim(c)
     for d, i, value in _load_form_rows(path, c):
         vec[offsets[d] + i] = float(value)
     return vec
@@ -169,7 +164,7 @@ def _simplex_name(simplex: tuple) -> str:
 
 
 def _print_matrix(mat, out):
-    for row in np.asarray(mat).tolist():
+    for row in mat.tolist():
         out.write(" ".join(map(str, row)) + "\n")
 
 
@@ -302,7 +297,7 @@ def cmd_pde(args, out):
         return 0
     if args.action == "wave":
         f0 = _load_state_vector(args.form, c)
-        g0 = _load_state_vector(args.velocity, c) if args.velocity else np.zeros(forms.total_dim(c))
+        g0 = _load_state_vector(args.velocity, c) if args.velocity else [0.0] * forms.total_dim(c)
         write_state(range(c.top_dim + 1), ev.wave_flow(c, f0, g0, args.t))
         return 0
     raise UsageError(f"unknown pde action {args.action!r}")
@@ -463,11 +458,10 @@ def main(argv=None) -> int:
     except expr.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, expr.NoClosedFormError, cx.NonOrientableError,
-            forms.NotGradientFieldError, ev.HarmonicComponentError, OverflowError) as exc:
+    except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

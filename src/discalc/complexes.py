@@ -18,7 +18,7 @@ import numpy as np
 from .numcore import DomainError
 
 
-class NonOrientableError(ValueError):
+class NonOrientableError(DomainError):
     """Sign propagation hit a clash: the region carries no orientation."""
 
 

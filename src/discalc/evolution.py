@@ -143,7 +143,7 @@ def wave_velocity(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
     return dec.apply(-w * np.sin(wt), f) + dec.apply(np.cos(wt), g)
 
 
-class HarmonicComponentError(ValueError):
+class HarmonicComponentError(DomainError):
     """Right-hand side has a harmonic component the Laplacian cannot reach."""
 
     def __init__(self, message: str, norm: float):

@@ -29,12 +29,16 @@ class ParseError(ValueError):
         self.position = position
 
 
-class NoClosedFormError(ValueError):
+class NoClosedFormError(DomainError):
     """Raised when no closed-form antiderivative exists in the basis."""
 
 
 # largest n of plain_to_falling and plot --fn pow:N; x^1000 rewrites in about 0.3 s, growing faster than n^2
 MAX_POWER = 1000
+
+# longest window definite_sum adds term by term; x*sin(1.x) over 10^4 terms takes about 0.4 s,
+# growing faster than the window because the terms are big rationals
+MAX_DIRECT_TERMS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +549,7 @@ def definite_sum(node, lo: int, hi: int):
 
     The closed form costs two evaluations whatever hi - lo is.  Only a tree
     with no closed form in the basis, such as log(x) or x*sin(1.x), is summed
-    term by term.
+    term by term, over at most MAX_DIRECT_TERMS terms.
     """
     if lo > hi:
         raise DomainError("definite_sum needs lo <= hi")
@@ -553,7 +557,9 @@ def definite_sum(node, lo: int, hi: int):
         return 0
     try:
         anti = antiderivative(node)
-    except NoClosedFormError:
+    except NoClosedFormError as exc:
+        if hi - lo > MAX_DIRECT_TERMS:
+            raise DomainError(f"{exc}; a term-by-term sum is bounded to {MAX_DIRECT_TERMS} terms") from None
         total = 0  # a plain left-to-right loop: sum() compensates float sums on Python >= 3.12
         for k in range(lo, hi):
             total = total + evaluate(node, k)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -181,14 +180,13 @@ def boundary_faces(c: GraphComplex, k: int, region) -> list:
     return [c.simplices[k - 1][f] for f in np.flatnonzero(counts % 2)]
 
 
-def stokes_sides(c: GraphComplex, region, F: Form, orientation: Optional[Orientation] = None):
+def stokes_sides(c: GraphComplex, region, F: Form):
     """(int_region dF, int_boundary F); equal in exact arithmetic.
 
     ``region`` is a set of (k+1)-simplices for a k-form F.
     """
     k = F.degree
-    if orientation is None:
-        orientation = orient_region(c, k + 1, region)
+    orientation = orient_region(c, k + 1, region)
     lhs = integrate(apply_d(F), region, orientation)
     idx = c.index[k]
     rhs = 0
@@ -197,9 +195,9 @@ def stokes_sides(c: GraphComplex, region, F: Form, orientation: Optional[Orienta
     return lhs, rhs
 
 
-def stokes_residual(c: GraphComplex, region, F: Form, orientation: Optional[Orientation] = None):
+def stokes_residual(c: GraphComplex, region, F: Form):
     """int_region dF - int_boundary F; zero in exact arithmetic."""
-    lhs, rhs = stokes_sides(c, region, F, orientation)
+    lhs, rhs = stokes_sides(c, region, F)
     return lhs - rhs
 
 
@@ -285,7 +283,7 @@ def gradient_ascent(c: GraphComplex, f, start: int) -> list:
 # Potentials
 
 
-class NotGradientFieldError(ValueError):
+class NotGradientFieldError(DomainError):
     """The 1-form has nonzero circulation; carries a witness cycle."""
 
     def __init__(self, message: str, witness):

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import expr
 from .numcore import DomainError, Sequence, binomial_exact, diff
 
 
@@ -59,7 +60,5 @@ def interpolate_fit(samples: Sequence):
     Returns an expression tree (see :mod:`discalc.expr`); its evaluation
     agrees with the samples exactly for integer/rational data.
     """
-    from . import expr
-
     table = forward_differences(samples)
     return expr.from_difference_table(table.coeffs)

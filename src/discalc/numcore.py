@@ -107,20 +107,6 @@ def sum_prefix(f: Sequence) -> Sequence:
     return Sequence(0, tuple(out))
 
 
-def sum_range(f: Sequence, lo: int, hi: int):
-    """Signed sum over [lo, hi): sum of f[k] for lo <= k < hi.
-
-    For lo > hi this is the negated sum over [hi, lo), which extends the
-    fundamental theorem to windows anywhere on the integers.
-    """
-    if lo > hi:
-        return -sum_range(f, hi, lo)
-    acc = 0
-    for k in range(lo, hi):
-        acc = acc + f[k]
-    return acc
-
-
 def falling_power(x: int, n: int) -> int:
     """x (x-1) ... (x-n+1); the empty product for n = 0."""
     if n < 0:

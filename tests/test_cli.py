@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -6,11 +7,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discalc import cli
+import discalc
+from discalc import cli, complexes as cx, evolution as ev, expr, forms
+from discalc.numcore import DomainError
 
 
 def run_cli(*args, cwd=None):
@@ -286,13 +290,22 @@ class TestFrontDoor:
         (("pde", "wave", "--gen", "cycle:4", "--t", "1e308", "--form", "{f}"), {"f": "0,0,1\n"}, 2),
         (("sum", "x^100000", "--from", "0", "--to", "3"), {}, 2),
         (("plot", "--fn", "pow:100000", "--range", "0:1", "--out", "{o}"), {}, 2),
+        (("sum", "log(x)", "--from", "1", "--to", "1000000"), {}, 2),
+        (("sum", "x*sin(1.x)", "--from", "0", "--to", "20000"), {}, 2),
+        (("eval", "x*sin(1.x)", "--at", "3", "--op", "sum"), {}, 2),
+        (("forms", "stokes", "--gen", "moebius", "--form", "{f}"), {"f": "1,0-1,1\n"}, 2),
+        # unit circulation around the hole, through the six neighbours of the removed centre
+        (("forms", "poisson", "--gen", "annulus:2", "--current", "{f}"),
+         {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "simplex-descending", "value-not-number",
             "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
             "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
             "laplacian-degree-past-top", "t-inf", "t-nan", "a-nan", "h-inf", "range-inf", "range-nan",
             "exp-h-zero", "sin-h-zero", "exp-negative-base", "exp-overflow", "pow-negative",
             "heat-value-past-float", "schrodinger-value-past-float", "poisson-value-past-float",
-            "schrodinger-t-past-float", "wave-t-past-float", "sum-power-past-bound", "plot-pow-past-bound"])
+            "schrodinger-t-past-float", "wave-t-past-float", "sum-power-past-bound", "plot-pow-past-bound",
+            "sum-log-past-direct-bound", "sum-abel-past-direct-bound", "eval-no-closed-form",
+            "stokes-non-orientable", "poisson-harmonic-current"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -318,6 +331,31 @@ class TestFrontDoor:
         code = "import sys, discalc.cli\nif 'scipy' in sys.modules: raise SystemExit('scipy imported eagerly')"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
+
+    def test_scalar_modules_leave_numpy_unloaded(self):
+        code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate\n"
+                "if 'numpy' in sys.modules: raise SystemExit('numpy imported by a scalar module')")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__"])
+    def test_import_boundary_names_no_numpy(self, module):
+        # read, not imported: cli.py reaches numpy only through the graph modules
+        source = (Path(discalc.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                pytest.fail(f"{module}.py line {node.lineno} imports numpy")
+
+    @pytest.mark.parametrize("error", [expr.NoClosedFormError, cx.NonOrientableError,
+                                       forms.NotGradientFieldError, ev.HarmonicComponentError])
+    def test_exit_2_errors_are_domain_errors(self, error):
+        assert issubclass(error, DomainError)
 
     def test_comment_blank_and_header_rows_skipped(self, tmp_path):
         f = tmp_path / "fn.csv"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -184,6 +185,17 @@ class TestDefiniteSum:
             counts.append(len(calls))
         assert counts[0] == counts[1]
         assert expr.definite_sum(expr.parse("x^2"), 0, 10 ** 8 + 1) == 333333338333333350000000
+
+    def test_term_by_term_window_is_bounded(self):
+        tree, hi = expr.parse("log(x)"), 1 + expr.MAX_DIRECT_TERMS
+        total = 0.0
+        for k in range(1, hi):
+            total += math.log2(k)
+        assert expr.definite_sum(tree, 1, hi) == total
+        with pytest.raises(DomainError, match="bounded"):
+            expr.definite_sum(tree, 1, hi + 1)
+        with pytest.raises(DomainError):
+            expr.definite_sum(expr.parse("x*sin(1.x)"), -5, expr.MAX_DIRECT_TERMS)
 
 
 # strategy for parseable, canonically constructed trees
