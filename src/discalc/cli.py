@@ -21,7 +21,7 @@ from . import expr
 from . import forms
 from . import interpolate as ip
 from . import topology as tp
-from .numcore import DomainError, Sequence, exp_h, exp_h_complex, log_discrete
+from .numcore import DomainError, Sequence, exp_h, exp_h_complex, log_discrete, sin_h
 
 
 class UsageError(Exception):
@@ -318,7 +318,7 @@ def _polyline(points, color):
 def _plot_functions(fn: str, a: float, h: float):
     """Return (discrete, classical) callables for the named function."""
     if fn == "sin":
-        return (lambda x: exp_h_complex(a, h, x).imag, lambda x: math.sin(a * x))
+        return (lambda x: sin_h(a, h, x), lambda x: math.sin(a * x))
     if fn == "cos":
         return (lambda x: exp_h_complex(a, h, x).real, lambda x: math.cos(a * x))
     if fn == "exp":

@@ -2,7 +2,8 @@
 
 Simplices of dimension k are the complete subgraphs K_{k+1}, stored as
 ascending vertex tuples; the ascending order is the reference orientation.
-The face table ``GraphComplex.faces`` is the one face walk: operators, orientations and level curves read it.
+The face table ``GraphComplex.faces``, tuples of Python ints, is the one face
+walk: operators, orientations and level curves read it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
-
-import numpy as np
 
 from .numcore import DomainError
 
@@ -103,14 +102,13 @@ class GraphComplex:
 
     @cached_property
     def faces(self) -> tuple:
-        """Signed incidence, built once: ``faces[k][r, i]`` (int64) is the position
-        in ``simplices[k-1]`` of the face of ``simplices[k][r]`` that drops
-        vertex i, with sign (-1)^i.  ``faces[0]`` has no columns."""
-        table = [np.zeros((self.count(0), 0), dtype=np.int64)]
+        """Signed incidence, built once: ``faces[k][r][i]`` is the position in
+        ``simplices[k-1]`` of the face of ``simplices[k][r]`` that drops vertex
+        i, with sign (-1)^i.  The rows of ``faces[0]`` are empty tuples."""
+        table = [((),) * self.count(0)]
         for k in range(1, self.top_dim + 1):
             below = self.index[k - 1]
-            rows = [[below[s[:i] + s[i + 1:]] for i in range(k + 1)] for s in self.simplices[k]]
-            table.append(np.array(rows, dtype=np.int64))
+            table.append(tuple(tuple(below[s[:i] + s[i + 1:]] for i in range(k + 1)) for s in self.simplices[k]))
         return tuple(table)
 
 
@@ -378,14 +376,14 @@ def orient_region(c: GraphComplex, k: int, region) -> Orientation:
 
     Adjacent simplices (sharing a (k-1)-face) must induce opposite
     orientations on the shared face.  The first region simplex is seeded +1.
-    Signs travel over the face positions in ``c.faces[k]``, column i with sign (-1)^i.
+    Signs travel over the face positions in ``c.faces[k]``, entry i with sign (-1)^i.
     """
     if k < 1:
         raise DomainError("orientation needs degree >= 1")
     rows = c.positions(k, region)
     if not rows:
         raise DomainError("empty region")
-    faces, face_rows = c.simplices[k - 1], dict(zip(rows, c.faces[k][rows].tolist()))
+    faces, face_rows = c.simplices[k - 1], c.faces[k]
     incidences = {}  # face position -> [(row, column)] in region order
     for r in rows:
         for i, f in enumerate(face_rows[r]):
@@ -431,6 +429,6 @@ def level_curve(c: GraphComplex, f, cut) -> Graph:
     edges = c.simplices[1] if c.top_dim >= 1 else ()
     crossing = [r for r, (a, b) in enumerate(edges) if (values[a] - cut) * (values[b] - cut) < 0]
     back = {r: i for i, r in enumerate(crossing)}
-    triangles = c.faces[2].tolist() if c.top_dim >= 2 else ()
+    triangles = c.faces[2] if c.top_dim >= 2 else ()
     new_edges = {e for row in triangles for e in combinations(sorted(back[r] for r in row if r in back), 2)}
     return Graph(len(crossing), frozenset(new_edges), tuple("{}-{}".format(*edges[r]) for r in crossing))

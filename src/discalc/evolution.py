@@ -183,13 +183,11 @@ def poisson_maxwell(c: GraphComplex, j: Form):
 
 
 def feynman_path_sum(m, start: int, end: int, steps: int):
-    """Sum over all length-n index paths of the product of matrix entries.
+    """Sum over all length-n index paths of the product of the entries of the square array m.
 
     Equals the (end, start) entry of m^n exactly; enumeration is bounded
     to keep the search desk-scale.
     """
-    if isinstance(m, OperatorMatrix):
-        m = m.data
     mat = np.asarray(m, dtype=object)
     n = mat.shape[0]
     if steps < 0:

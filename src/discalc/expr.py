@@ -36,6 +36,11 @@ class NoClosedFormError(DomainError):
 # largest n of plain_to_falling and plot --fn pow:N; x^1000 rewrites in about 0.3 s, growing faster than n^2
 MAX_POWER = 1000
 
+# most bits of an exact power (x^n, [x]^n, c^x, (1 + ia)^x) or product that evaluate returns; a power is
+# refused from its bit-length bound before it is taken.  2^(2^20 - 1) prints its 315653 digits in about
+# 1.8 s, and the time grows with the square of the length (int -> str is quadratic)
+MAX_RESULT_BITS = 1 << 20
+
 # longest window definite_sum adds term by term; x*sin(1.x) over 10^4 terms takes about 0.4 s,
 # growing faster than the window because the terms are big rationals
 MAX_DIRECT_TERMS = 10_000
@@ -269,8 +274,8 @@ class _Parser:
                 nxt = self.next()
                 if nxt[0] == "ident" and nxt[1] == "x":
                     return ExpBase(value)
-                if nxt[0] == "number":
-                    return Const(value ** nxt[1])
+                if nxt[0] == "number":  # bounded like c^x at x = the exponent
+                    return Const(Fraction(evaluate(ExpBase(value), nxt[1])))
                 raise ParseError("expected exponent after '^'", nxt[2])
             return Const(value)
         atom = self.atom()
@@ -407,19 +412,34 @@ def _norm(value):
     return value
 
 
+def _bound_power(node, v: int, n: int) -> None:
+    """DomainError unless v^n, at most n * ceil(log2 |v|) + 1 bits, fits in MAX_RESULT_BITS."""
+    bits = n * max(abs(v) - 1, 0).bit_length() + 1
+    if bits > MAX_RESULT_BITS:
+        raise DomainError(f"{to_string(node)} may need {bits} bits at this x; exact results are bounded to {MAX_RESULT_BITS}")
+
+
 def evaluate(node, x: int):
-    """Exact evaluation at an integer point (floats only via log/recip)."""
+    """Exact evaluation at an integer point (floats only via log/recip).
+
+    A power or product that could pass MAX_RESULT_BITS raises DomainError, a power before it is computed.
+    """
     if isinstance(node, Const):
         return _norm(node.value)
     if isinstance(node, FallingPower):
+        _bound_power(node, max(abs(x), abs(x - node.n + 1)), 0 if 0 <= x < node.n else node.n)
         return falling_power(x, node.n)
     if isinstance(node, PlainPower):
+        _bound_power(node, x, node.n)
         return x ** node.n
     if isinstance(node, ExpBase):
         if node.c == 0 and x < 0:
             raise DomainError("0^x undefined for negative x")
+        _bound_power(node, max(abs(node.c.numerator), node.c.denominator), abs(x))
         return _norm(node.c ** x)
     if isinstance(node, Trig):
+        # |1 + ia|^2 = 1 + a^2 bounds each part of (1 + ia)^x and the denominator at x < 0
+        _bound_power(node, 1 + node.a * node.a, abs(x))
         z = exp_trig_rational(node.a, x)
         return _norm(z.im if node.kind == "sin" else z.re)
     if isinstance(node, Log):
@@ -437,6 +457,8 @@ def evaluate(node, x: int):
         total = 1
         for f in node.factors:
             total = total * evaluate(f, x)
+        if isinstance(total, (int, Fraction)):  # bounded factors multiply fast, but their product may not print fast
+            _bound_power(node, max(abs(total.numerator), total.denominator), 1)
         return _norm(total)
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -15,7 +15,7 @@ the table.  Exact-only: flows and the Poisson/Maxwell solve live in ``discalc.ev
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +53,7 @@ def exterior_derivative(c: GraphComplex, k: int) -> OperatorMatrix:
     rows = c.count(k + 1)
     mat = np.zeros((rows, c.count(k)), dtype=np.int64)
     if rows:
-        mat[np.arange(rows)[:, None], c.faces[k + 1]] = (-1) ** np.arange(k + 2)
+        mat[np.arange(rows)[:, None], np.array(c.faces[k + 1])] = (-1) ** np.arange(k + 2)
     return OperatorMatrix(mat)
 
 
@@ -102,11 +102,12 @@ def dirac(c: GraphComplex) -> OperatorMatrix:
 
 
 def laplacian(c: GraphComplex) -> OperatorMatrix:
-    """L = D^2 = d d* + d* d, assembled from its diagonal blocks L_k."""
+    """L = D^2 = d d* + d* d, assembled from its diagonal blocks L_k; each d_k is built once."""
     offsets = block_offsets(c)
     mat = np.zeros((offsets[-1], offsets[-1]), dtype=np.int64)
+    ds = [exterior_derivative(c, k).data for k in range(c.top_dim + 1)]
     for k in range(c.top_dim + 1):
-        mat[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = laplacian_block(c, k).data
+        mat[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = _hodge_block(ds[k], ds[k - 1] if k else None)
     return OperatorMatrix(mat)
 
 
@@ -114,12 +115,14 @@ def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
     """The degree-k block L_k = d_k* d_k + d_{k-1} d_{k-1}*."""
     if k > c.top_dim:
         raise DomainError(f"the complex has no {k}-simplices")
-    dk = exterior_derivative(c, k).data
+    return OperatorMatrix(_hodge_block(exterior_derivative(c, k).data,
+                                       exterior_derivative(c, k - 1).data if k else None))
+
+
+def _hodge_block(dk, dkm):
+    """d_k^T d_k + d_{k-1} d_{k-1}^T; ``dkm`` is None in degree 0."""
     mat = dk.T @ dk
-    if k >= 1:
-        dkm = exterior_derivative(c, k - 1).data
-        mat = mat + dkm @ dkm.T
-    return OperatorMatrix(mat)
+    return mat if dkm is None else mat + dkm @ dkm.T
 
 
 def apply_d(F: Form) -> Form:
@@ -130,7 +133,7 @@ def apply_d(F: Form) -> Form:
     if k >= c.top_dim:
         return Form(c, k + 1, np.zeros(0, dtype=object))
     # columns reversed: faces in ascending position, the summation order of d_k @ F
-    gathered = F.values[c.faces[k + 1][:, ::-1]]
+    gathered = F.values[np.array(c.faces[k + 1])[:, ::-1]]
     return Form(c, k + 1, (gathered * (-1) ** np.arange(k + 1, -1, -1)).sum(axis=1))
 
 
@@ -175,9 +178,8 @@ def line_integral(F: Form, path) -> object:
 def boundary_faces(c: GraphComplex, k: int, region) -> list:
     """Faces incident to an odd number of region k-simplices (mod-2 boundary),
     in table order: the region's face positions in ``c.faces[k]`` counted mod 2."""
-    rows = c.positions(k, region)
-    counts = np.bincount(c.faces[k][rows].ravel(), minlength=c.count(k - 1))
-    return [c.simplices[k - 1][f] for f in np.flatnonzero(counts % 2)]
+    counts = Counter(f for r in c.positions(k, region) for f in c.faces[k][r])
+    return [c.simplices[k - 1][f] for f in sorted(counts) if counts[f] % 2]
 
 
 def stokes_sides(c: GraphComplex, region, F: Form):

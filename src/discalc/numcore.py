@@ -108,9 +108,11 @@ def sum_prefix(f: Sequence) -> Sequence:
 
 
 def falling_power(x: int, n: int) -> int:
-    """x (x-1) ... (x-n+1); the empty product for n = 0."""
+    """x (x-1) ... (x-n+1); the empty product for n = 0, and 0 for 0 <= x < n (factor x - x)."""
     if n < 0:
         raise DomainError("falling_power needs n >= 0; see falling_power_negative")
+    if 0 <= x < n:
+        return 0
     result = 1
     for j in range(n):
         result *= x - j

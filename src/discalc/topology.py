@@ -3,7 +3,7 @@
 Everything is exact: curvature and index expectations are rationals, the
 expectation by a local enumeration at each vertex.  Betti numbers come from
 the rank over Q of each d_k, read from the face table ``GraphComplex.faces``
-by sparse fraction-free elimination (no dense matrix, no modular step).  The
+by sparse fraction-free elimination on Python ints (no matrix, no modular step).  The
 dense Bareiss ``integer_rank`` is kept as the independent test oracle for
 that rank.
 """
@@ -91,7 +91,7 @@ def _rank_d(c: GraphComplex, k: int) -> int:
     if k >= c.top_dim:
         return 0
     signs = [(-1) ** i for i in range(k + 2)]
-    return _sparse_rank(dict(zip(faces, signs)) for faces in c.faces[k + 1].tolist())
+    return _sparse_rank(dict(zip(faces, signs)) for faces in c.faces[k + 1])
 
 
 def betti(c: GraphComplex) -> tuple:

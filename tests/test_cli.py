@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,13 @@ class TestEval:
         assert r.returncode == 0 and "Traceback" not in r.stderr
         assert r.stdout.strip().isdigit() and len(r.stdout.strip()) == 4772
         assert int(r.stdout[:20]) == 3 ** 10000 // 10 ** 4752
+
+    def test_result_at_bound_prints(self):
+        # 2^(2^20 - 1) has exactly expr.MAX_RESULT_BITS bits; one more step of x exits 2
+        r = run_cli("eval", "2^x", "--at", str(expr.MAX_RESULT_BITS - 1))
+        assert r.returncode == 0 and "Traceback" not in r.stderr
+        assert len(r.stdout.strip()) == 315653
+        assert r.stdout.endswith(f"{pow(2, expr.MAX_RESULT_BITS - 1, 1000)}\n")
 
     def test_no_closed_form_exit2(self):
         r = run_cli("eval", "log(x)", "--at", "4", "--op", "sum")
@@ -292,6 +300,11 @@ class TestFrontDoor:
         (("plot", "--fn", "pow:100000", "--range", "0:1", "--out", "{o}"), {}, 2),
         (("sum", "log(x)", "--from", "1", "--to", "1000000"), {}, 2),
         (("sum", "x*sin(1.x)", "--from", "0", "--to", "20000"), {}, 2),
+        (("eval", "x^100000", "--at", "1000000000"), {}, 2),
+        (("eval", "x^300000", "--at", "1000000000"), {}, 2),
+        (("sum", "2^x", "--from", "0", "--to", "1000000000"), {}, 2),
+        (("eval", "2^x", "--at", "1048576"), {}, 2),
+        (("eval", "2^1000000000", "--at", "0"), {}, 2),
         (("eval", "x*sin(1.x)", "--at", "3", "--op", "sum"), {}, 2),
         (("forms", "stokes", "--gen", "moebius", "--form", "{f}"), {"f": "1,0-1,1\n"}, 2),
         # unit circulation around the hole, through the six neighbours of the removed centre
@@ -304,7 +317,9 @@ class TestFrontDoor:
             "exp-h-zero", "sin-h-zero", "exp-negative-base", "exp-overflow", "pow-negative",
             "heat-value-past-float", "schrodinger-value-past-float", "poisson-value-past-float",
             "schrodinger-t-past-float", "wave-t-past-float", "sum-power-past-bound", "plot-pow-past-bound",
-            "sum-log-past-direct-bound", "sum-abel-past-direct-bound", "eval-no-closed-form",
+            "sum-log-past-direct-bound", "sum-abel-past-direct-bound", "eval-power-past-result-bound",
+            "eval-power-far-past-result-bound", "sum-exp-past-result-bound", "eval-exp-just-past-result-bound",
+            "eval-literal-power-past-result-bound", "eval-no-closed-form",
             "stokes-non-orientable", "poisson-harmonic-current"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
@@ -333,12 +348,12 @@ class TestFrontDoor:
         assert r.returncode == 0, r.stderr
 
     def test_scalar_modules_leave_numpy_unloaded(self):
-        code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate\n"
-                "if 'numpy' in sys.modules: raise SystemExit('numpy imported by a scalar module')")
+        code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate, discalc.complexes, "
+                "discalc.topology\nif 'numpy' in sys.modules: raise SystemExit('numpy imported by a plain-Python module')")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
 
-    @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__"])
+    @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__", "complexes", "topology"])
     def test_import_boundary_names_no_numpy(self, module):
         # read, not imported: cli.py reaches numpy only through the graph modules
         source = (Path(discalc.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
@@ -421,13 +436,15 @@ class TestUsage:
 
 # ---------------------------------------------------------------------------
 # Fuzzing the front door in-process: argv from the subcommand grammar, input
-# files with random contents.  Sizes stay small (generator n <= 6, numbers of
-# a few digits), so that every op is cheap.
+# files with random contents.  Graphs stay small (generator n <= 6); --at,
+# --from and --to reach +-10^12 and x^N, [x]^N reach N = 10^9, so that every
+# documented bound must answer within the per-example deadline.
 
 SPECIAL_FLOATS = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "1e400", "1e308", "-1e308", "5e-324"]
 floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats().map(repr),
                    st.integers(-99, 99).map(str), st.integers(-400, 400).map(lambda n: str(n / 8)))
 small_ints = st.integers(-3, 99).map(str)
+wide_ints = st.one_of(small_ints, st.integers(-10 ** 12, 10 ** 12).map(str))
 generators = st.one_of(
     st.builds("{}:{}".format, st.sampled_from(["cycle", "wheel", "complete", "star", "linear", "path"]),
               st.integers(-1, 6)),
@@ -456,15 +473,17 @@ graph_json = st.one_of(
                      '[1, 2]', 'null', '{"vertices": 2, "edges": [[0, 1]], "labels": 5}', 'not json']),
 )
 expressions = st.one_of(
-    st.lists(st.sampled_from(["x", "[x]^3", "x^2", "2^x", "1/2^x", "sin(2.x)", "cos(-1.x)", "exp(1.x)",
-                              "log(x)", "3", "1/3", "(x+1)", "0^x", "exp(-1.x)", "x^0"]), min_size=1, max_size=3)
+    st.lists(st.one_of(st.sampled_from(["x", "[x]^3", "x^2", "2^x", "1/2^x", "sin(2.x)", "cos(-1.x)", "exp(1.x)",
+                                        "log(x)", "3", "1/3", "(x+1)", "0^x", "exp(-1.x)", "x^0"]),
+                       st.builds("{}^{}".format, st.sampled_from(["x", "[x]"]), st.integers(0, 10 ** 9))),
+             min_size=1, max_size=3)
     .flatmap(lambda terms: st.sampled_from(["+", "-", "*"]).map(lambda op: op.join(terms))),
     st.text(alphabet="x[]^()+-*/.0123 sinco", max_size=5),
 )
 
 
 @st.composite
-def cli_cases(draw):
+def cli_cases(draw, commands=("eval", "sum", "taylor", "graph", "forms", "pde", "plot")):
     """(argv, files): '{name}' in argv is the path of files[name] in a scratch directory."""
     files = {}
 
@@ -484,12 +503,12 @@ def cli_cases(draw):
         return ["--gen", draw(generators)] if draw(st.booleans()) else ["--file", file(graph_json)]
 
     degree = st.integers(-2, 4).map(str)
-    command = draw(st.sampled_from(["eval", "sum", "taylor", "graph", "forms", "pde", "plot"]))
+    command = draw(st.sampled_from(commands))
     if command == "eval":
-        argv = ["eval", draw(expressions), *option("--at", small_ints, 0.9),
+        argv = ["eval", draw(expressions), *option("--at", wide_ints, 0.9),
                 *option("--op", st.sampled_from(["none", "diff", "sum", "x"]))]
     elif command == "sum":
-        argv = ["sum", draw(expressions), *option("--from", small_ints, 0.9), *option("--to", small_ints, 0.9)]
+        argv = ["sum", draw(expressions), *option("--from", wide_ints, 0.9), *option("--to", wide_ints, 0.9)]
     elif command == "taylor":
         argv = ["taylor", "--samples", file(sample_csv), *option("--eval", small_ints)]
         argv += draw(st.sampled_from([["--print"], []]))
@@ -518,17 +537,26 @@ def cli_cases(draw):
     return argv, files
 
 
+def run_case(case) -> int:
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"dir": tmp}
+        for name, text in files.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main([a.format(**paths) for a in argv])
+
+
 class TestFuzz:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
     @given(case=cli_cases())
     def test_every_input_exits_0_1_or_2(self, case):
-        argv, files = case
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = {"dir": tmp}
-            for name, text in files.items():
-                paths[name] = os.path.join(tmp, name)
-                with open(paths[name], "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([a.format(**paths) for a in argv])
-        assert code in (0, 1, 2)
+        assert run_case(case) in (0, 1, 2)
+
+    # eval and sum alone, so that the wide --at, --from, --to and exponents are drawn often
+    @settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+    @given(case=cli_cases(commands=("eval", "sum")))
+    def test_scalar_inputs_exit_0_1_or_2(self, case):
+        assert run_case(case) in (0, 1, 2)

@@ -82,8 +82,46 @@ class TestFallingRewrite:
         assert expr.evaluate(expr.plain_to_falling(expr.MAX_POWER), 2) == 2 ** expr.MAX_POWER
         with pytest.raises(DomainError):
             expr.plain_to_falling(expr.MAX_POWER + 1)
-        # evaluating a bare x^N needs no rewrite, so it is not bounded
+        # evaluating a bare x^N needs no rewrite, so MAX_POWER does not bound it (MAX_RESULT_BITS does)
         assert expr.evaluate(expr.parse(f"x^{10 * expr.MAX_POWER}"), 2) == 2 ** (10 * expr.MAX_POWER)
+
+
+BITS = expr.MAX_RESULT_BITS
+
+
+class TestResultBound:
+    @pytest.mark.parametrize("text, last, exact", [
+        ("2^x", BITS - 1, lambda x: 2 ** x),
+        ("3^x", (BITS - 1) // 2, lambda x: 3 ** x),
+        ("1/2^x", -(BITS - 1), lambda x: 2 ** -x),
+        ("x^2", -(1 << (BITS - 1) // 2), lambda x: x * x),
+        ("[x]^3", 2 - (1 << (BITS - 1) // 3), lambda x: x * (x - 1) * (x - 2)),
+        ("sin(1.x)", BITS - 1, None),
+        ("cos(2.x)", (BITS - 1) // 3, None),
+    ], ids=["2^x", "3^x", "1/2^x", "x^2", "[x]^3", "sin(1.x)", "cos(2.x)"])
+    def test_last_admitted_point(self, text, last, exact):
+        # the last x whose bit bound fits is evaluated exactly; one step further from 0 raises
+        tree = expr.parse(text)
+        value = expr.evaluate(tree, last)
+        assert abs(value).bit_length() <= BITS and (exact is None or value == exact(last))
+        with pytest.raises(DomainError, match="bounded"):
+            expr.evaluate(tree, last + (1 if last > 0 else -1))
+
+    def test_product_of_admitted_factors_is_bounded(self):
+        x = BITS // 2
+        assert expr.evaluate(expr.parse("2^x"), x) == 2 ** x
+        with pytest.raises(DomainError, match="bounded"):
+            expr.evaluate(expr.parse("2^x*2^x*2^x"), x)
+
+    def test_literal_power_is_bounded(self):
+        assert expr.parse("2^20") == Const(Fraction(2 ** 20))
+        with pytest.raises(DomainError, match="bounded"):
+            expr.parse(f"2^{expr.MAX_RESULT_BITS}")
+
+    def test_falling_power_inside_its_zeros(self):
+        assert expr.evaluate(FallingPower(10 ** 9), 10 ** 9 - 1) == 0
+        with pytest.raises(DomainError, match="bounded"):
+            expr.evaluate(FallingPower(10 ** 9), 10 ** 9)
 
 
 class TestDerivative:

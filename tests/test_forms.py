@@ -79,6 +79,14 @@ class TestExteriorDerivative:
                 blk = L[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]]
                 assert np.all(blk == fm.laplacian_block(c, k).data)
 
+    def test_laplacian_builds_each_d_once(self, monkeypatch):
+        c = cx.build_complex(cx.generate("icosahedron"))
+        calls = []
+        build = fm.exterior_derivative
+        monkeypatch.setattr(fm, "exterior_derivative", lambda c, k: calls.append(k) or build(c, k))
+        fm.laplacian(c)
+        assert sorted(calls) == list(range(c.top_dim + 1))
+
     def test_operators_are_int64(self):
         c = cx.build_complex(cx.generate("icosahedron"))
         ops = [fm.exterior_derivative(c, k) for k in range(c.top_dim + 1)]

@@ -78,6 +78,8 @@ class TestFallingPower:
         assert nc.falling_power(5, 3) == 60
         assert nc.falling_power(4, 0) == 1
         assert nc.falling_power(3, 5) == 0
+        assert nc.falling_power(3, 10 ** 12) == 0  # the factor 3 - 3, found without a loop
+        assert nc.falling_power(-1, 3) == -6 and nc.falling_power(0, 0) == 1
 
     def test_derivative_rule(self):
         for n in range(1, 6):
