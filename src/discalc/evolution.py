@@ -63,25 +63,22 @@ def sym_eigen(m) -> SpectralDecomposition:
     if isinstance(m, OperatorMatrix):
         m = m.data
     a = np.asarray(m, dtype=float)
-    if a.size and np.abs(a - a.T).max() > SYMMETRY_TOL:
+    if not a.size:  # 0x0, from an empty graph
+        return SpectralDecomposition(*np.linalg.eigh(a))
+    if np.abs(a - a.T).max() > SYMMETRY_TOL:
         raise DomainError("matrix is not symmetric")
-    w, q = np.linalg.eigh(a)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    q = q[:, order]
-    for i in range(q.shape[1]):
-        col = q[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-9)[0]
-        if len(nz) and col[nz[0]] < 0:
-            q[:, i] = -col
+    w, q = np.linalg.eigh(a)  # eigenvalues ascend
+    # the flows' BLAS products round differently on the C-ordered q that eigh returns; their
+    # outputs (and the golden digests) are those of a Fortran-ordered q
+    q = np.asfortranarray(q)
+    q[:, q[(np.abs(q) > 1e-9).argmax(axis=0), np.arange(len(w))] < 0] *= -1
     dec = SpectralDecomposition(w, q)
-    if a.size:
-        orthonormal = np.abs(q.T @ q - np.eye(len(w))).max()
-        if not orthonormal < ORTHONORMAL_TOL:
-            raise ArithmeticError(f"eigenvectors not orthonormal (residual {orthonormal:.3e})")
-        reconstruct = np.abs(dec.reconstruct() - a).max()
-        if not reconstruct < RECONSTRUCT_TOL * max(np.abs(a).max(), 1.0):
-            raise ArithmeticError(f"eigenvectors do not reconstruct the matrix (residual {reconstruct:.3e})")
+    orthonormal = np.abs(q.T @ q - np.eye(len(w))).max()
+    if not orthonormal < ORTHONORMAL_TOL:
+        raise ArithmeticError(f"eigenvectors not orthonormal (residual {orthonormal:.3e})")
+    reconstruct = np.abs(dec.reconstruct() - a).max()
+    if not reconstruct < RECONSTRUCT_TOL * max(np.abs(a).max(), 1.0):
+        raise ArithmeticError(f"eigenvectors do not reconstruct the matrix (residual {reconstruct:.3e})")
     return SpectralDecomposition(np.where(dec.kernel, 0.0, w), q)
 
 

@@ -1,15 +1,15 @@
 """k-forms and the exterior calculus operators on a clique complex.
 
 The matrices d, D = d + d*, L = D^2 are int64 arrays built from the face
-table ``GraphComplex.faces``.  They are exact: every entry of d is 0 or
-+-1, and an entry of D or L is bounded by a vertex degree plus the
-dimension, far below 2^63, so identities like d.d = 0 and L = D^2 hold
-exactly.  Form values stay Python objects (an int64 operator times an
-object vector is exact object arithmetic).  ``apply_d`` builds no matrix:
-it gathers the face values of each simplex through the face table and adds
-them with signs (-1)^i; ``boundary_faces`` counts face positions mod 2, and
-the Stokes boundary sum uses the signs ``orient_region`` propagates over
-the table.  Exact-only: flows and the Poisson/Maxwell solve live in ``discalc.evolution``.
+table ``GraphComplex.faces``.  Every entry of d and D is 0 or +-1, and L and
+its blocks are Gram products m^T m of them, run in float64 BLAS yet exact:
+each partial sum is an integer below 2^53.  So d.d = 0 and L = D^2 hold
+exactly.  Form values stay Python objects (an int64 operator times an object
+vector is exact object arithmetic).  ``apply_d`` builds no matrix: it gathers
+the face values of each simplex through the face table and adds them with
+signs (-1)^i; ``boundary_faces`` counts face positions mod 2, and the Stokes
+boundary sum uses the signs ``orient_region`` propagates over the table.
+Exact-only: flows and the Poisson/Maxwell solve live in ``discalc.evolution``.
 """
 
 from __future__ import annotations
@@ -102,27 +102,29 @@ def dirac(c: GraphComplex) -> OperatorMatrix:
 
 
 def laplacian(c: GraphComplex) -> OperatorMatrix:
-    """L = D^2 = d d* + d* d, assembled from its diagonal blocks L_k; each d_k is built once."""
-    offsets = block_offsets(c)
-    mat = np.zeros((offsets[-1], offsets[-1]), dtype=np.int64)
-    ds = [exterior_derivative(c, k).data for k in range(c.top_dim + 1)]
-    for k in range(c.top_dim + 1):
-        mat[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = _hodge_block(ds[k], ds[k - 1] if k else None)
-    return OperatorMatrix(mat)
+    """L = D^2 = d d* + d* d; D is symmetric, so D^2 = D^T D."""
+    return OperatorMatrix(_gram(dirac(c).data))
 
 
 def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
     """The degree-k block L_k = d_k* d_k + d_{k-1} d_{k-1}*."""
     if k > c.top_dim:
         raise DomainError(f"the complex has no {k}-simplices")
-    return OperatorMatrix(_hodge_block(exterior_derivative(c, k).data,
-                                       exterior_derivative(c, k - 1).data if k else None))
+    mat = _gram(exterior_derivative(c, k).data)
+    if k:
+        mat += _gram(exterior_derivative(c, k - 1).data.T)
+    return OperatorMatrix(mat)
 
 
-def _hodge_block(dk, dkm):
-    """d_k^T d_k + d_{k-1} d_{k-1}^T; ``dkm`` is None in degree 0."""
-    mat = dk.T @ dk
-    return mat if dkm is None else mat + dkm @ dkm.T
+def _gram(m: np.ndarray) -> np.ndarray:
+    """m^T m of a 0/+-1 int64 matrix, exactly, by a float64 BLAS product (numpy has no int64 BLAS).
+
+    Every partial sum of an entry is an integer of size at most m.shape[0], and float64 holds each
+    integer below 2^53 exactly, so no step rounds and the cast back to int64 is lossless.
+    """
+    f = m.astype(float)
+    f = f.T @ f  # drops the copy of m before the cast allocates
+    return f.astype(np.int64)
 
 
 def apply_d(F: Form) -> Form:

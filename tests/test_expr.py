@@ -234,6 +234,9 @@ class TestDefiniteSum:
             expr.definite_sum(tree, 1, hi + 1)
         with pytest.raises(DomainError):
             expr.definite_sum(expr.parse("x*sin(1.x)"), -5, expr.MAX_DIRECT_TERMS)
+        # 100 terms of about 2^20 bits each fit in MAX_DIRECT_BITS; sum_{k<n} k 2^k = (n - 2) 2^n + 2
+        lo, hi = 10**6, 10**6 + 100
+        assert expr.definite_sum(expr.parse("x*2^x"), lo, hi) == (hi - 2) * 2**hi - (lo - 2) * 2**lo
 
 
 # strategy for parseable, canonically constructed trees
