@@ -215,20 +215,17 @@ def cmd_graph(args, out):
         out.write("betti: " + " ".join(str(b) for b in tp.betti(c)) + "\n")
         return 0
     if args.action == "curvature":
-        total = Fraction(0)
+        curvatures = tp.curvature_vector(c)
         out.write("vertex,curvature\n")
-        for v in range(g.vertex_count):
-            k = tp.curvature(c, v)
-            total += k
-            out.write(f"{v},{fmt(k)}\n")
-        out.write(f"total,{fmt(total)}\n")
+        out.writelines(f"{v},{fmt(k)}\n" for v, k in enumerate(curvatures))
+        out.write(f"total,{fmt(sum(curvatures, Fraction(0)))}\n")
         return 0
     if args.action == "indices":
         f = _load_vertex_fn(args.fn, g.vertex_count) if args.fn else list(range(g.vertex_count))
         report = tp.poincare_hopf(c, f)
         out.write("vertex,index,class,curvature\n")
-        for v in range(g.vertex_count):
-            out.write(f"{v},{report.indices[v]},{report.classes[v]},{fmt(tp.curvature(c, v))}\n")
+        for v, k in enumerate(tp.curvature_vector(c)):
+            out.write(f"{v},{report.indices[v]},{report.classes[v]},{fmt(k)}\n")
         out.write(f"total,{report.total},,\n")
         return 0
     if args.action == "classify":

@@ -78,8 +78,7 @@ class GraphComplex:
     """A graph together with its enumerated simplex sets G_k."""
 
     graph: Graph
-    simplices: tuple  # simplices[k] = ordered list of ascending (k+1)-tuples
-    index: tuple  # index[k] = dict tuple -> position
+    simplices: tuple  # simplices[k] = lexicographically ordered ascending (k+1)-tuples
 
     @property
     def top_dim(self) -> int:
@@ -101,6 +100,11 @@ class GraphComplex:
             raise DomainError(f"{exc.args[0]} is not a {k}-simplex of the complex") from None
 
     @cached_property
+    def index(self) -> tuple:
+        """``index[k]`` maps each k-simplex to its position in ``simplices[k]``."""
+        return tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
+
+    @cached_property
     def faces(self) -> tuple:
         """Signed incidence, built once: ``faces[k][r][i]`` is the position in
         ``simplices[k-1]`` of the face of ``simplices[k][r]`` that drops vertex
@@ -113,22 +117,16 @@ class GraphComplex:
 
 
 def build_complex(g: Graph) -> GraphComplex:
-    """Enumerate all complete subgraphs by clique extension."""
-    adj = g.adjacency()
-    levels = [[(v,) for v in range(g.vertex_count)]]
+    """Enumerate all complete subgraphs by clique extension, in lexicographic order: each simplex
+    carries its common neighbours above its last vertex, and each of them, w, extends it."""
+    above = [frozenset(w for w in neighbours if w > v) for v, neighbours in enumerate(g.adjacency())]
+    level = [((v,), above[v]) for v in range(g.vertex_count)]
+    simplices = []
     while True:
-        previous = levels[-1]
-        nxt = []
-        for simplex in previous:
-            common = set(range(simplex[-1] + 1, g.vertex_count))
-            for v in simplex:
-                common &= adj[v]
-            nxt.extend(simplex + (w,) for w in sorted(common))
-        if not nxt:
-            break
-        levels.append(nxt)
-    index = tuple({s: i for i, s in enumerate(level)} for level in levels)
-    return GraphComplex(g, tuple(tuple(level) for level in levels), index)
+        simplices.append(tuple(s for s, _ in level))
+        level = [(s + (w,), common & above[w]) for s, common in level for w in sorted(common)]
+        if not level:
+            return GraphComplex(g, tuple(simplices))
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,6 @@ class GaussianInteger:
             self.re * other.im + self.im * other.re,
         )
 
-    def norm_sq(self) -> int:
-        return self.re * self.re + self.im * self.im
-
     def __pow__(self, n: int) -> "GaussianInteger":
         if n < 0:
             raise DomainError("negative power of a GaussianInteger is not integral")
@@ -144,9 +141,9 @@ def exp_trig_rational(a: int, x: int) -> GaussianRational:
     if x >= 0:
         z = exp_trig_exact(a, x)
         return GaussianRational(Fraction(z.re), Fraction(z.im))
-    z = exp_trig_exact(a, -x)
-    n = z.norm_sq()
-    return GaussianRational(Fraction(z.re, n), Fraction(-z.im, n))
+    z = exp_trig_exact(-a, -x)  # (1 + ia)^-n = (1 - ia)^n / (1 + a^2)^n
+    n = (1 + a * a) ** -x
+    return GaussianRational(Fraction(z.re, n), Fraction(z.im, n))
 
 
 def cos_exact(a: int, x: int) -> int:

@@ -1,11 +1,11 @@
 """Euler characteristic, Betti numbers, curvature and critical-point indices.
 
-Everything is exact: curvature and index expectations are rationals, the
-expectation by a local enumeration at each vertex.  Betti numbers come from
-the rank over Q of each d_k, read from the face table ``GraphComplex.faces``
-by sparse fraction-free elimination on Python ints (no matrix, no modular step).  The
-dense Bareiss ``integer_rank`` is kept as the independent test oracle for
-that rank.
+Everything is exact: curvature and index expectations are rationals, curvature
+read from the simplices at each vertex, the expectation by a local enumeration
+at each vertex.  Betti numbers come from the rank over Q of each d_k, read from
+the face table ``GraphComplex.faces`` by sparse fraction-free elimination on
+Python ints (no matrix, no modular step).  The dense Bareiss ``integer_rank``
+is kept as the independent test oracle for that rank.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Graph, GraphComplex, build_complex, classify, connected_components, is_cycle_graph, unit_sphere
+from .complexes import Graph, GraphComplex, build_complex, classify, connected_components, is_cycle_graph
 from .numcore import DomainError
 
 
-MAX_EXPECTATION_DEGREE = 10  # index_expectation sums 2^degree subsets per vertex; complete:11 takes about 2 s
+MAX_EXPECTATION_DEGREE = 10  # index_expectation sums 2^degree subsets per vertex; complete:11 takes about 1 s
 
 
 def euler_characteristic(c: GraphComplex) -> int:
@@ -104,18 +104,23 @@ def betti(c: GraphComplex) -> tuple:
     return tuple(out)
 
 
-def curvature(c: GraphComplex, x: int) -> Fraction:
-    """K(x) = sum_k (-1)^k V_{k-1}(x)/(k+1) over simplex counts of the sphere."""
-    sphere, _ = unit_sphere(c, x)
-    counts = build_complex(sphere).counts() if sphere.vertex_count else ()
-    total = Fraction(1, 1)  # V_{-1} = 1 contributes 1/(0+1)
-    for k, v in enumerate(counts):
-        total += Fraction((-1) ** (k + 1) * v, k + 2)
-    return total
-
-
 def curvature_vector(c: GraphComplex) -> tuple:
-    return tuple(curvature(c, x) for x in range(c.graph.vertex_count))
+    """K(x) = sum_k (-1)^k V_{k-1}(x)/(k+1), V_{k-1}(x) counting the k-simplices that contain x, in one
+    pass (about 1 ms on hexpatch:12): a (k-1)-simplex of the unit sphere S(x) plus x is a k-simplex of G."""
+    denominator = math.lcm(*range(1, c.top_dim + 2))
+    totals = [0] * c.graph.vertex_count
+    for k, level in enumerate(c.simplices):
+        weight = (-1) ** k * denominator // (k + 1)
+        for x in itertools.chain.from_iterable(level):
+            totals[x] += weight
+    return tuple(Fraction(t, denominator) for t in totals)
+
+
+def curvature(c: GraphComplex, x: int) -> Fraction:
+    """K(x), entry x of ``curvature_vector``."""
+    if not 0 <= x < c.graph.vertex_count:
+        raise DomainError(f"vertex {x} out of range")
+    return curvature_vector(c)[x]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +189,7 @@ def index_expectation(c: GraphComplex) -> tuple:
     i_f(x) = 1 - chi(S^-(x)) depends only on the set A of neighbours below x, and an
     ordering puts exactly A below x with probability |A|!(d-|A|)!/(d+1)! (Knill,
     arXiv:1202.4514).  So a vertex of degree d sums over the 2^d subsets of its unit
-    sphere (chi of the empty set is 0); d above MAX_EXPECTATION_DEGREE raises DomainError.
+    sphere (the empty set's complex has chi 0); d above MAX_EXPECTATION_DEGREE raises DomainError.
     This enumeration is not the curvature formula restated: it checks Gauss-Bonnet.
     """
     g = c.graph
@@ -196,7 +201,7 @@ def index_expectation(c: GraphComplex) -> tuple:
         d, total = len(sphere), 0
         for size in range(d + 1):
             for below in itertools.combinations(sphere, size):
-                chi = euler_characteristic(build_complex(g.induced(below)[0])) if below else 0
+                chi = euler_characteristic(build_complex(g.induced(below)[0]))
                 total += math.factorial(size) * math.factorial(d - size) * (1 - chi)
         out.append(Fraction(total, math.factorial(d + 1)))
     return tuple(out)
@@ -207,4 +212,5 @@ def umlaufsatz_sum(c: GraphComplex) -> Fraction:
     cls = classify(c)
     if cls.kind != "surface" or not cls.flat or not cls.boundary:
         raise DomainError("umlaufsatz needs a flat surface with non-empty boundary")
-    return sum((curvature(c, x) for x in cls.boundary), Fraction(0))
+    curvatures = curvature_vector(c)
+    return sum((curvatures[x] for x in cls.boundary), Fraction(0))

@@ -350,12 +350,12 @@ class TestFrontDoor:
 
     def test_closed_stdout_pipe_exits_quietly(self):
         # the matrix is far larger than a pipe buffer, so the writer meets the closed pipe
-        proc = subprocess.Popen([sys.executable, "-m", "discalc", "forms", "dirac", "--gen", "hexpatch:5"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        assert proc.stdout.readline().startswith("0 ")
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait() == 1
+        with subprocess.Popen([sys.executable, "-m", "discalc", "forms", "dirac", "--gen", "hexpatch:5"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline().startswith("0 ")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait() == 1
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
     def test_cli_import_leaves_scipy_unloaded(self):

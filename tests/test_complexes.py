@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -104,14 +105,21 @@ class TestBuildComplex:
                 assert list(s) == sorted(s)
 
     def test_matches_brute_force(self):
+        # each level in table order: every position, face row and golden digest relies on it
         rng = random.Random(5)
         for _ in range(30):
-            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+            g = random_graph(rng, rng.randint(0, 9), rng.uniform(0.2, 1.0))
             c = cx.build_complex(g)
             oracle = brute_force_cliques(g)
-            assert c.top_dim == max(oracle) if oracle else c.counts() == (g.vertex_count,)
+            assert c.top_dim == max(oracle) if oracle else c.counts() == (0,)
             for k, level in oracle.items():
-                assert sorted(c.simplices[k]) == sorted(level)
+                assert list(c.simplices[k]) == sorted(level)
+
+    def test_index_is_positions_built_once(self):
+        c = cx.build_complex(cx.generate("complete", 5))
+        assert c.index is c.index
+        assert all(c.index[k][s] == i for k, level in enumerate(c.simplices) for i, s in enumerate(level))
+        assert [f.name for f in dataclasses.fields(c)] == ["graph", "simplices"]
 
 
     def test_faces_match_tuple_oracle(self):

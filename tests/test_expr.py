@@ -17,7 +17,7 @@ from discalc.expr import (
     make_product,
     make_sum,
 )
-from discalc.numcore import DomainError, Sequence
+from discalc.numcore import DomainError, Sequence, exp_trig_rational
 
 
 class TestParse:
@@ -69,6 +69,16 @@ class TestEval:
 
     def test_negative_argument_trig(self):
         assert expr.evaluate(expr.parse("sin(1.x)"), -1) == Fraction(-1, 2)
+
+    def test_trig_matches_gaussian_rational_power(self):
+        # evaluate reduces only the part it returns; exp_trig_rational reduces both
+        for a in (-9, -3, -2, -1, 1, 2, 3, 7, 9):
+            for x in range(-300, 301):
+                z = exp_trig_rational(a, x)
+                for kind, want in (("sin", z.im), ("cos", z.re)):
+                    want = want.numerator if want.denominator == 1 else want
+                    got = expr.evaluate(Trig(kind, a), x)
+                    assert got == want and type(got) is type(want)
 
 
 class TestFallingRewrite:

@@ -125,6 +125,36 @@ class TestCurvature:
             if x not in cls.boundary:
                 assert tp.curvature(c, x) == 0
 
+    def test_matches_unit_sphere_formula(self):
+        # the sphere route, as an oracle: K(x) = 1 + sum_k (-1)^(k+1) V_k(S(x))/(k+2)
+        rng = random.Random(23)
+        graphs = [random_graph(rng, rng.randint(0, 11), rng.uniform(0.1, 1.0)) for _ in range(40)]
+        graphs += [cx.parse_generator(spec) for spec in ("complete:8", "hexpatch:4", "moebius")]
+        for g in graphs:
+            c = cx.build_complex(g)
+            want = []
+            for x in range(g.vertex_count):
+                counts = cx.build_complex(cx.unit_sphere(c, x)[0]).counts()
+                want.append(1 + sum(Fraction((-1) ** (k + 1) * v, k + 2) for k, v in enumerate(counts)))
+            assert tp.curvature_vector(c) == tuple(want)
+            assert [tp.curvature(c, x) for x in range(g.vertex_count)] == want
+
+    def test_reads_the_complex_only(self, monkeypatch):
+        c = complex_of("icosahedron")
+
+        def refuse(*args):
+            raise AssertionError("curvature built a sub-complex or an induced graph")
+
+        monkeypatch.setattr(tp, "build_complex", refuse)
+        monkeypatch.setattr(tp.Graph, "induced", refuse)
+        assert tp.curvature_vector(c) == (Fraction(1, 6),) * 12
+        assert tp.curvature(c, 3) == Fraction(1, 6)
+
+    @pytest.mark.parametrize("x", [-1, 12])
+    def test_vertex_out_of_range(self, x):
+        with pytest.raises(DomainError):
+            tp.curvature(complex_of("icosahedron"), x)
+
     def test_gauss_bonnet_named(self):
         for spec in ("octahedron", "icosahedron", "cube", "wheel:6", "cycle:9",
                      "complete:5", "star:4", "hexpatch:2", "moebius"):
