@@ -100,6 +100,8 @@ def _load_vertex_fn(path: str, n: int) -> list:
         v = _parsed(int, row[0], path)
         if not 0 <= v < n:
             raise DomainError(f"vertex {v} out of range")
+        if values[v] is not None:
+            raise DomainError(f"vertex {v} given twice")
         values[v] = _parsed(Fraction, row[1], path)
     if any(v is None for v in values):
         raise DomainError("function file does not cover every vertex")
@@ -115,11 +117,14 @@ def _parse_simplex(text: str) -> tuple:
 
 def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
     """(degree, position in c.simplices[degree], value) for each row."""
-    rows = []
+    rows, seen = [], set()
     for row in _csv_rows(path, "degree", 3):
         d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
         value = _parsed(Fraction if "/" in row[2] or "." not in row[2] else _finite, row[2], path)
         rows.append((d, c.positions(d, [simplex])[0], value))
+        if simplex in seen:
+            raise DomainError(f"simplex {_simplex_name(simplex)} given twice")
+        seen.add(simplex)
     return rows
 
 

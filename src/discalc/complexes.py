@@ -51,14 +51,14 @@ class Graph:
     def adjacency(self) -> tuple:
         return self._adjacency
 
-    def induced(self, vertices) -> tuple:
-        """Induced subgraph; returns (graph, map new index -> old vertex)."""
+    def induced(self, vertices) -> "Graph":
+        """Induced subgraph; its vertex i is the i-th smallest of ``vertices``."""
         order = sorted(vertices)
         if order and not (0 <= order[0] and order[-1] < self.vertex_count):
             raise DomainError("induced subgraph needs vertices in range")
         back = {old: new for new, old in enumerate(order)}
         edges = {(back[a], back[b]) for a in order for b in self._adjacency[a] if a < b and b in back}
-        return Graph(len(order), frozenset(edges)), tuple(order)
+        return Graph(len(order), frozenset(edges))
 
     def to_json(self) -> str:
         payload = {"vertices": self.vertex_count, "edges": sorted(list(e) for e in self.edges)}
@@ -180,7 +180,7 @@ def hex_annulus(radius: int = 2) -> Graph:
     """Hex patch with the central vertex removed; one hole (b_1 = 1)."""
     patch = hex_patch(radius)
     # the origin is the middle of hex_patch's sorted, negation-symmetric point list
-    return patch.induced(set(range(patch.vertex_count)) - {patch.vertex_count // 2})[0]
+    return patch.induced(set(range(patch.vertex_count)) - {patch.vertex_count // 2})
 
 
 def moebius_strip() -> Graph:
@@ -252,8 +252,8 @@ def parse_generator(spec: str) -> Graph:
 # Geometric classifiers
 
 
-def unit_sphere(c: GraphComplex, v: int) -> tuple:
-    """Induced subgraph on the neighbors of v; returns (graph, relabel map)."""
+def unit_sphere(c: GraphComplex, v: int) -> Graph:
+    """Induced subgraph on the neighbors of v, relabelled in increasing order."""
     return c.graph.induced(c.graph.neighbors(v))
 
 
@@ -308,7 +308,7 @@ def classify(c: GraphComplex) -> Classification:
     g = c.graph
     if g.vertex_count == 0:
         return Classification("other", ())
-    sphere_cache = [unit_sphere(c, v)[0] for v in range(g.vertex_count)]
+    sphere_cache = [unit_sphere(c, v) for v in range(g.vertex_count)]
 
     def all_curve():
         boundary = []

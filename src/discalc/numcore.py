@@ -49,14 +49,6 @@ class GaussianInteger:
 
 
 @dataclass(frozen=True)
-class GaussianRational:
-    """Gaussian number with exact rational components (for negative powers)."""
-
-    re: Fraction
-    im: Fraction
-
-
-@dataclass(frozen=True)
 class Sequence:
     """Tabulated values of an integer-indexed function on a window.
 
@@ -133,17 +125,8 @@ def binomial_exact(x: int, k: int) -> Fraction:
 def exp_trig_exact(a: int, x: int) -> GaussianInteger:
     """(1 + ia)^x for x >= 0; cos(a.x) is the real part, sin(a.x) the imaginary."""
     if x < 0:
-        raise DomainError("exp_trig_exact needs x >= 0; use exp_trig_rational")
+        raise DomainError("exp_trig_exact needs x >= 0")
     return GaussianInteger(1, a) ** x
-
-def exp_trig_rational(a: int, x: int) -> GaussianRational:
-    """(1 + ia)^x for any integer x, with exact rational components."""
-    if x >= 0:
-        z = exp_trig_exact(a, x)
-        return GaussianRational(Fraction(z.re), Fraction(z.im))
-    z = exp_trig_exact(-a, -x)  # (1 + ia)^-n = (1 - ia)^n / (1 + a^2)^n
-    n = (1 + a * a) ** -x
-    return GaussianRational(Fraction(z.re, n), Fraction(z.im, n))
 
 
 def cos_exact(a: int, x: int) -> int:

@@ -1,11 +1,12 @@
 """Euler characteristic, Betti numbers, curvature and critical-point indices.
 
-Everything is exact: curvature and index expectations are rationals, curvature
-read from the simplices at each vertex, the expectation by a local enumeration
-at each vertex.  Betti numbers come from the rank over Q of each d_k, read from
-the face table ``GraphComplex.faces`` by sparse fraction-free elimination on
-Python ints (no matrix, no modular step).  The dense Bareiss ``integer_rank``
-is kept as the independent test oracle for that rank.
+Everything is exact: curvature and index expectations are rationals.  Curvature
+and Poincare-Hopf indices are read from the simplices in one pass each; the
+index expectation is a local enumeration at each vertex.  Betti numbers come
+from the rank over Q of each d_k, read from the face table
+``GraphComplex.faces`` by sparse fraction-free elimination on Python ints (no
+matrix, no modular step).  The tests check that rank against a dense Bareiss
+elimination of their own.
 """
 
 from __future__ import annotations
@@ -24,36 +25,6 @@ MAX_EXPECTATION_DEGREE = 10  # index_expectation sums 2^degree subsets per verte
 
 def euler_characteristic(c: GraphComplex) -> int:
     return sum((-1) ** k * v for k, v in enumerate(c.counts()))
-
-
-def integer_rank(mat) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    rows = [list(int(x) for x in row) for row in mat]
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        for r in range(row + 1, m):
-            for cc in range(col + 1, n):
-                rows[r][cc] = (rows[row][col] * rows[r][cc] - rows[r][col] * rows[row][cc]) // prev
-            rows[r][col] = 0
-        prev = rows[row][col]
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
 
 
 def _sparse_rank(rows) -> int:
@@ -135,30 +106,39 @@ def _check_injective(f, n: int):
 
 def sub_level_sphere(c: GraphComplex, f, x: int) -> Graph:
     """S^-(x): the part of the unit sphere where f is smaller than at x."""
-    lower = {y for y in c.graph.neighbors(x) if f[y] < f[x]}
-    sub, _ = c.graph.induced(lower)
-    return sub
+    return c.graph.induced({y for y in c.graph.neighbors(x) if f[y] < f[x]})
 
 
-def _index_and_class(c: GraphComplex, f, x: int) -> tuple:
-    """(i_f(x), critical class of x) from one S^-(x) and its complex."""
-    sub = sub_level_sphere(c, f, x)
+def _indices(c: GraphComplex, f) -> list:
+    """i_f(x) = 1 - chi(S^-(x)) for every x in one pass: a (k-1)-simplex of S^-(x) plus x is a
+    k-simplex whose f-largest vertex is x, and the 0-simplex x gives the 1."""
+    _check_injective(f, c.graph.vertex_count)
+    totals = [0] * c.graph.vertex_count
+    for k, level in enumerate(c.simplices):
+        sign = (-1) ** k
+        for s in level:
+            totals[max(s, key=f.__getitem__)] += sign
+    return totals
+
+
+def _critical_class(sub: Graph, i: int) -> str:
+    """Critical class of a vertex x with S^-(x) = sub and i_f(x) = i."""
     if sub.vertex_count == 0:
-        return 1, "min"
-    i = 1 - euler_characteristic(build_complex(sub))
+        return "min"
     if is_cycle_graph(sub, min_len=3):
-        return i, "max"
+        return "max"
     if i == -2:
-        return i, "monkey"
+        return "monkey"
     if i < 0:
-        return i, f"saddle({len(connected_components(sub))})"
-    return i, "regular" if i == 0 else "critical"
+        return f"saddle({len(connected_components(sub))})"
+    return "regular" if i == 0 else "critical"
 
 
 def index(c: GraphComplex, f, x: int) -> int:
     """i_f(x) = 1 - chi(S^-(x))."""
-    _check_injective(f, c.graph.vertex_count)
-    return _index_and_class(c, f, x)[0]
+    if not 0 <= x < c.graph.vertex_count:
+        raise DomainError(f"vertex {x} out of range")
+    return _indices(c, f)[x]
 
 
 @dataclass(frozen=True)
@@ -170,17 +150,15 @@ class IndexReport:
 
 def classify_critical(c: GraphComplex, f, x: int) -> str:
     """min / max / saddle(m) / monkey / regular taxonomy of a vertex."""
-    _check_injective(f, c.graph.vertex_count)
-    return _index_and_class(c, f, x)[1]
+    i = index(c, f, x)
+    return _critical_class(sub_level_sphere(c, f, x), i)
 
 
 def poincare_hopf(c: GraphComplex, f) -> IndexReport:
     """Per-vertex indices; the total equals the Euler characteristic."""
-    n = c.graph.vertex_count
-    _check_injective(f, n)
-    pairs = [_index_and_class(c, f, x) for x in range(n)]
-    indices = tuple(i for i, _ in pairs)
-    return IndexReport(indices, tuple(kind for _, kind in pairs), sum(indices))
+    indices = tuple(_indices(c, f))
+    classes = tuple(_critical_class(sub_level_sphere(c, f, x), i) for x, i in enumerate(indices))
+    return IndexReport(indices, classes, sum(indices))
 
 
 def index_expectation(c: GraphComplex) -> tuple:
@@ -201,7 +179,7 @@ def index_expectation(c: GraphComplex) -> tuple:
         d, total = len(sphere), 0
         for size in range(d + 1):
             for below in itertools.combinations(sphere, size):
-                chi = euler_characteristic(build_complex(g.induced(below)[0]))
+                chi = euler_characteristic(build_complex(g.induced(below)))
                 total += math.factorial(size) * math.factorial(d - size) * (1 - chi)
         out.append(Fraction(total, math.factorial(d + 1)))
     return tuple(out)

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 from discalc import complexes as cx
+from discalc.numcore import exp_trig_exact
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> cx.Graph:
@@ -23,3 +25,13 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> cx.Gra
             if rng.random() < p:
                 edges.add((i, j))
     return cx.Graph(n, frozenset(edges))
+
+
+def exp_trig_rational(a: int, x: int) -> tuple:
+    """(re, im) of (1 + ia)^x for any integer x, as exact Fractions."""
+    if x >= 0:
+        z = exp_trig_exact(a, x)
+        return Fraction(z.re), Fraction(z.im)
+    z = exp_trig_exact(-a, -x)  # (1 + ia)^-n = (1 - ia)^n / (1 + a^2)^n
+    n = (1 + a * a) ** -x
+    return Fraction(z.re, n), Fraction(z.im, n)

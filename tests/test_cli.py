@@ -326,6 +326,8 @@ class TestFrontDoor:
         # unit circulation around the hole, through the six neighbours of the removed centre
         (("forms", "poisson", "--gen", "annulus:2", "--current", "{f}"),
          {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
+        (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
+        (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "simplex-descending", "value-not-number",
             "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
             "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
@@ -337,7 +339,7 @@ class TestFrontDoor:
             "sum-terms-past-direct-bits", "eval-power-past-result-bound",
             "eval-power-far-past-result-bound", "sum-exp-past-result-bound", "eval-exp-just-past-result-bound",
             "eval-literal-power-past-result-bound", "eval-no-closed-form",
-            "stokes-non-orientable", "poisson-harmonic-current"])
+            "stokes-non-orientable", "poisson-harmonic-current", "fn-vertex-twice", "form-simplex-twice"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -383,6 +385,18 @@ class TestFrontDoor:
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 pytest.fail(f"{module}.py line {node.lineno} imports numpy")
+
+    def test_every_import_is_used(self):
+        for path in sorted(Path(discalc.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+            imported, used = {}, set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+            unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+            assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
     @pytest.mark.parametrize("error", [expr.NoClosedFormError, cx.NonOrientableError,
                                        forms.NotGradientFieldError, ev.HarmonicComponentError])

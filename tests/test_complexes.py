@@ -61,17 +61,15 @@ class TestGraph:
 
     def test_induced(self):
         g = cx.generate("complete", 5)
-        sub, order = g.induced({1, 3, 4})
-        assert order == (1, 3, 4)
-        assert sub == cx.generate("complete", 3)
+        assert g.induced({1, 3, 4}) == cx.generate("complete", 3)
 
     def test_induced_matches_edge_scan(self):
         rng = random.Random(4)
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.8))
             chosen = {v for v in range(g.vertex_count) if rng.random() < 0.6}
-            sub, order = g.induced(chosen)
-            back = {old: new for new, old in enumerate(order)}
+            sub = g.induced(chosen)
+            back = {old: new for new, old in enumerate(sorted(chosen))}
             assert sub.edges == {(back[a], back[b]) for a, b in g.edges if a in back and b in back}
 
     def test_induced_out_of_range_rejected(self):
@@ -199,14 +197,14 @@ class TestSpheresAndClassify:
     def test_octahedron_spheres_are_c4(self):
         c = cx.build_complex(cx.generate("octahedron"))
         for v in range(6):
-            s, _ = cx.unit_sphere(c, v)
+            s = cx.unit_sphere(c, v)
             assert cx.is_cycle_graph(s)
             assert s.vertex_count == 4
 
     def test_icosahedron_spheres_are_c5(self):
         c = cx.build_complex(cx.generate("icosahedron"))
         for v in range(12):
-            s, _ = cx.unit_sphere(c, v)
+            s = cx.unit_sphere(c, v)
             assert cx.is_cycle_graph(s)
             assert s.vertex_count == 5
 

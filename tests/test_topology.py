@@ -24,22 +24,52 @@ class TestEulerCharacteristic:
         assert tp.euler_characteristic(complex_of("wheel:6")) == 1
 
 
+def integer_rank(mat) -> int:
+    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    rows = [list(int(x) for x in row) for row in mat]
+    if not rows or not rows[0]:
+        return 0
+    m, n = len(rows), len(rows[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        pivot = None
+        for r in range(row, m):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        for r in range(row + 1, m):
+            for cc in range(col + 1, n):
+                rows[r][cc] = (rows[row][col] * rows[r][cc] - rows[r][col] * rows[row][cc]) // prev
+            rows[r][col] = 0
+        prev = rows[row][col]
+        row += 1
+        rank += 1
+        if row == m:
+            break
+    return rank
+
+
 class TestIntegerRank:
     def test_simple(self):
-        assert tp.integer_rank([[1, 2], [2, 4]]) == 1
-        assert tp.integer_rank([[1, 0], [0, 1]]) == 2
-        assert tp.integer_rank([[0, 0], [0, 0]]) == 0
+        assert integer_rank([[1, 2], [2, 4]]) == 1
+        assert integer_rank([[1, 0], [0, 1]]) == 2
+        assert integer_rank([[0, 0], [0, 0]]) == 0
 
     def test_rectangular(self):
-        assert tp.integer_rank([[1, 2, 3]]) == 1
-        assert tp.integer_rank([[1], [2], [3]]) == 1
+        assert integer_rank([[1, 2, 3]]) == 1
+        assert integer_rank([[1], [2], [3]]) == 1
 
     def test_large_entries_stay_exact(self):
         # Bareiss keeps everything integral; a Hilbert-like matrix scaled up
         n = 6
         scale = 2 * 3 * 5 * 7 * 11
         mat = [[scale // (i + j + 1) for j in range(n)] for i in range(n)]
-        assert tp.integer_rank(mat) == n
+        assert integer_rank(mat) == n
 
 
 def as_rows(mat) -> list:
@@ -51,7 +81,7 @@ class TestSparseRank:
     def test_q_rank_not_z2_rank(self):
         # ranks over Q that reduction mod 2 would get wrong
         for mat, rank in (([[1, 1], [1, -1]], 2), ([[2]], 1), ([[2, 4], [3, 6]], 1), ([[0, 2], [2, 0]], 2)):
-            assert tp._sparse_rank(as_rows(mat)) == tp.integer_rank(mat) == rank
+            assert tp._sparse_rank(as_rows(mat)) == integer_rank(mat) == rank
 
     def test_random_integer_matrices(self):
         rng = random.Random(5)
@@ -60,14 +90,14 @@ class TestSparseRank:
             mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6, 12)) for _ in range(n)] for _ in range(m)]
             if rng.random() < 0.3:  # force a dependent row
                 mat.append([rng.randint(-3, 3) * a + rng.randint(-3, 3) * b for a, b in zip(mat[0], mat[-1])])
-            assert tp._sparse_rank(as_rows(mat)) == tp.integer_rank(mat)
+            assert tp._sparse_rank(as_rows(mat)) == integer_rank(mat)
 
     def test_every_d_k_of_random_complexes(self):
         rng = random.Random(13)
         for _ in range(60):
             c = cx.build_complex(random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.9)))
             for k in range(c.top_dim + 1):
-                assert tp._rank_d(c, k) == tp.integer_rank(fm.exterior_derivative(c, k).data)
+                assert tp._rank_d(c, k) == integer_rank(fm.exterior_derivative(c, k).data)
 
 
 class TestBetti:
@@ -114,7 +144,7 @@ class TestCurvature:
         for spec in ("octahedron", "icosahedron"):
             c = complex_of(spec)
             for x in range(c.graph.vertex_count):
-                sphere, _ = cx.unit_sphere(c, x)
+                sphere = cx.unit_sphere(c, x)
                 assert cx.is_cycle_graph(sphere, min_len=3)
                 assert tp.curvature(c, x) == 1 - Fraction(sphere.vertex_count, 6)
 
@@ -134,7 +164,7 @@ class TestCurvature:
             c = cx.build_complex(g)
             want = []
             for x in range(g.vertex_count):
-                counts = cx.build_complex(cx.unit_sphere(c, x)[0]).counts()
+                counts = cx.build_complex(cx.unit_sphere(c, x)).counts()
                 want.append(1 + sum(Fraction((-1) ** (k + 1) * v, k + 2) for k, v in enumerate(counts)))
             assert tp.curvature_vector(c) == tuple(want)
             assert [tp.curvature(c, x) for x in range(g.vertex_count)] == want
@@ -225,13 +255,66 @@ class TestIndices:
             rng.shuffle(values)
             assert tp.poincare_hopf(c, values).total == chi
 
+    def test_matches_sub_level_sphere_route(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(60):
+            c = cx.build_complex(random_graph(rng, rng.randint(1, 11), rng.uniform(0.2, 0.9)))
+            n = c.graph.vertex_count
+            for ordering in range(3):
+                values = rng.sample(range(-50, 50), n)
+                f = values if ordering < 2 else {v: Fraction(value, 7) for v, value in enumerate(values)}
+                want = [sphere_route(c, f, x) for x in range(n)]
+                report = tp.poincare_hopf(c, f)
+                assert list(zip(report.indices, report.classes)) == want
+                assert [(tp.index(c, f, x), tp.classify_critical(c, f, x)) for x in range(n)] == want
+                seen.update(kind.split("(")[0] for _, kind in want)
+        assert seen == {"min", "max", "monkey", "saddle", "regular", "critical"}
+
+    @pytest.mark.parametrize("x", [-1, 12])
+    def test_vertex_out_of_range(self, x):
+        c = complex_of("icosahedron")
+        f = list(range(12))
+        with pytest.raises(DomainError):
+            tp.index(c, f, x)
+        with pytest.raises(DomainError):
+            tp.classify_critical(c, f, x)
+
+    def test_indices_read_the_complex_only(self, monkeypatch):
+        c = complex_of("octahedron")
+        f = {0: 0, 1: 9, 2: 1, 3: 2, 4: 3, 5: 4}
+
+        def refuse(*args):
+            raise AssertionError("an index built a sub-complex or an induced graph")
+
+        monkeypatch.setattr(tp, "build_complex", refuse)
+        assert tp.poincare_hopf(c, f).indices == (1, 1, 0, 0, 0, 0)
+        monkeypatch.setattr(tp.Graph, "induced", refuse)
+        assert [tp.index(c, f, x) for x in range(6)] == [1, 1, 0, 0, 0, 0]
+
+
+def sphere_route(c: cx.GraphComplex, f, x: int) -> tuple:
+    """(1 - chi(S^-(x)), critical class) from S^-(x) and its own complex: the oracle for the one-pass indices."""
+    sub = c.graph.induced({y for y in c.graph.neighbors(x) if f[y] < f[x]})
+    if sub.vertex_count == 0:
+        return 1, "min"
+    i = 1 - tp.euler_characteristic(cx.build_complex(sub))
+    if cx.is_cycle_graph(sub, min_len=3):
+        return i, "max"
+    if i == -2:
+        return i, "monkey"
+    if i < 0:
+        return i, f"saddle({len(cx.connected_components(sub))})"
+    return i, "regular" if i == 0 else "critical"
+
 
 def index_expectation_by_orderings(c: cx.GraphComplex) -> tuple:
     """The mean of i_f(x) over all |V|! orderings f: the exhaustive oracle, for <= 7 vertices."""
     n = c.graph.vertex_count
     assert n <= 7, "the oracle walks |V|! orderings"
     perms = list(itertools.permutations(range(n)))
-    return tuple(Fraction(sum(tp.index(c, f, x) for f in perms), len(perms)) for x in range(n))
+    totals = [sum(column) for column in zip(*(tp.poincare_hopf(c, f).indices for f in perms))]
+    return tuple(Fraction(total, len(perms)) for total in totals)
 
 
 class TestIndexExpectation:
