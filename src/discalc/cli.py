@@ -14,14 +14,15 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import complexes as cx
-from . import evolution as ev
-from . import expr
-from . import forms
-from . import interpolate as ip
-from . import topology as tp
-from .numcore import DomainError, Sequence, exp_h, exp_h_complex, log_discrete, sin_h
+from .numcore import DomainError, ParseError, Sequence, exp_h, exp_h_complex, log_discrete, sin_h
+
+# Each subcommand imports the library modules it uses, so that only `forms` and `pde` load numpy;
+# the annotations name two of them without importing them.
+if TYPE_CHECKING:
+    from . import complexes as cx
+    from . import forms
 
 
 class UsageError(Exception):
@@ -86,6 +87,8 @@ def _csv_rows(path: str, header: str, width: int):
 
 
 def _load_graph(args) -> cx.Graph:
+    from . import complexes as cx
+
     if args.gen:
         return _parsed(cx.parse_generator, args.gen, "--gen")
     if args.file:
@@ -129,6 +132,8 @@ def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
 
 
 def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
+    from . import forms
+
     if not 0 <= degree <= c.top_dim:
         raise DomainError(f"the complex has no {degree}-simplices")
     values = [0] * c.count(degree)
@@ -140,6 +145,8 @@ def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
 
 
 def _load_state_vector(path: str, c: cx.GraphComplex) -> list:
+    from . import forms
+
     offsets = forms.block_offsets(c)
     vec = [0.0] * forms.total_dim(c)
     for d, i, value in _load_form_rows(path, c):
@@ -178,6 +185,8 @@ def _print_matrix(mat, out):
 
 
 def cmd_eval(args, out):
+    from . import expr
+
     tree = expr.parse(args.expression)
     if args.op == "diff":
         tree = expr.derivative(tree)
@@ -188,6 +197,8 @@ def cmd_eval(args, out):
 
 
 def cmd_sum(args, out):
+    from . import expr
+
     # inclusive bounds, the usual convention for written-out finite sums
     tree = expr.parse(args.expression)
     out.write(fmt(expr.definite_sum(tree, args.lo, args.hi + 1)) + "\n")
@@ -195,6 +206,9 @@ def cmd_sum(args, out):
 
 
 def cmd_taylor(args, out):
+    from . import expr
+    from . import interpolate as ip
+
     samples = _load_samples(args.samples)
     # a nonzero window start is handled by shifting the variable
     anchored = Sequence(0, samples.values)
@@ -209,6 +223,9 @@ def cmd_taylor(args, out):
 
 
 def cmd_graph(args, out):
+    from . import complexes as cx
+    from . import topology as tp
+
     g = _load_graph(args)
     c = cx.build_complex(g)
     if args.action == "info":
@@ -244,6 +261,10 @@ def cmd_graph(args, out):
 
 
 def cmd_forms(args, out):
+    from . import complexes as cx
+    from . import evolution as ev
+    from . import forms
+
     g = _load_graph(args)
     c = cx.build_complex(g)
     if args.action == "dirac":
@@ -282,6 +303,10 @@ def cmd_forms(args, out):
 
 
 def cmd_pde(args, out):
+    from . import complexes as cx
+    from . import evolution as ev
+    from . import forms
+
     c = cx.build_complex(_load_graph(args))
 
     def write_state(degrees, vec):
@@ -328,6 +353,8 @@ def _plot_functions(fn: str, a: float, h: float):
     if fn == "log":
         return (lambda x: log_discrete(x), lambda x: math.log(x))
     if fn.startswith("pow:"):
+        from . import expr
+
         n = _parsed(int, fn.split(":", 1)[1], "--fn pow:N")
         if not 0 <= n <= expr.MAX_POWER:
             raise DomainError(f"pow:N needs 0 <= N <= {expr.MAX_POWER}")
@@ -457,7 +484,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except expr.ParseError as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, OverflowError) as exc:

@@ -14,19 +14,12 @@ from fractions import Fraction
 
 from .numcore import (
     DomainError,
+    ParseError,
     exp_trig_exact,
     falling_power,
     log_discrete,
     reciprocal,
 )
-
-
-class ParseError(ValueError):
-    """Syntax error; carries the byte offset of the offending token."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
 
 
 class NoClosedFormError(DomainError):

@@ -15,6 +15,14 @@ class DomainError(ValueError):
     """Input outside the domain of an operation."""
 
 
+class ParseError(ValueError):
+    """Syntax error; carries the byte offset of the offending token."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at offset {position})")
+        self.position = position
+
+
 #: Marker returned by :func:`tan_discrete` where cos vanishes.
 INFINITY = math.inf
 

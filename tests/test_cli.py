@@ -368,13 +368,47 @@ class TestFrontDoor:
 
     def test_scalar_modules_leave_numpy_unloaded(self):
         code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate, discalc.complexes, "
-                "discalc.topology\nif 'numpy' in sys.modules: raise SystemExit('numpy imported by a plain-Python module')")
+                "discalc.topology, discalc.cli\n"
+                "if 'numpy' in sys.modules: raise SystemExit('numpy imported by a plain-Python module')")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
 
+    def test_cli_import_loads_only_numcore(self):
+        # every other library module is imported by the subcommand that uses it
+        code = "import sys, discalc.cli\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('discalc'))))"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["discalc", "discalc.cli", "discalc.numcore"]
+
+    @pytest.mark.parametrize("args", [
+        ("eval", "3*[x]^5 + sin(2.x)", "--at", "10", "--op", "diff"),
+        ("sum", "x^2", "--from", "1", "--to", "100"),
+        ("taylor", "--samples", "{s}", "--eval", "11"),
+        ("taylor", "--samples", "{s}", "--print"),
+        ("plot", "--fn", "sin", "--range", "0:10", "--out", "{o}"),
+        ("plot", "--fn", "pow:3", "--range", "0:10", "--out", "{o}"),
+        ("graph", "info", "--gen", "octahedron"),
+        ("graph", "betti", "--gen", "moebius"),
+        ("graph", "curvature", "--gen", "icosahedron"),
+        ("graph", "indices", "--gen", "octahedron", "--fn", "{f}"),
+        ("graph", "classify", "--gen", "annulus:2"),
+    ], ids=["eval", "sum", "taylor-eval", "taylor-print", "plot-sin", "plot-pow", "graph-info", "graph-betti",
+            "graph-curvature", "graph-indices", "graph-classify"])
+    def test_scalar_and_graph_commands_leave_numpy_unloaded(self, tmp_path, args):
+        (tmp_path / "samples.csv").write_text("0,1\n1,2\n2,4\n3,8\n4,16\n")
+        (tmp_path / "fn.csv").write_text("0,0\n1,9\n2,1\n3,2\n4,3\n5,4\n")
+        paths = {"s": tmp_path / "samples.csv", "f": tmp_path / "fn.csv", "o": tmp_path / "out.svg"}
+        code = ("import sys\nfrom discalc import cli\ncode = cli.main(sys.argv[1:])\n"
+                "if code: raise SystemExit(f'exit {code}')\n"
+                "if 'numpy' in sys.modules: raise SystemExit('numpy loaded by ' + sys.argv[1])")
+        r = subprocess.run([sys.executable, "-c", code, *(a.format(**paths) for a in args)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout
+
     @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__", "complexes", "topology"])
     def test_import_boundary_names_no_numpy(self, module):
-        # read, not imported: cli.py reaches numpy only through the graph modules
+        # read, not imported: cli.py reaches numpy only from inside cmd_forms and cmd_pde
         source = (Path(discalc.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Import):
