@@ -16,7 +16,7 @@ c = cx.build_complex(cx.generate("cycle", 5))
 # Heat flow spreads a point source toward the mean value
 f0 = fm.Form(c, 0, np.array([5, 0, 0, 0, 0], dtype=object))
 for t in (0.0, 0.5, 2.0, 50.0):
-    out = ev.heat_flow(c, 0, f0, t).values.astype(float)
+    out = np.asarray(ev.heat_flow(c, 0, f0, t).values, dtype=float)
     print(f"heat t = {t:5.1f}: " + " ".join(f"{v:7.4f}" for v in out))
 
 # Schroedinger evolution is unitary: the norm never changes

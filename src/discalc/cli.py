@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 from .numcore import DomainError, ParseError, Sequence, exp_h, exp_h_complex, log_discrete, sin_h
 
-# Each subcommand imports the library modules it uses, so that only `forms` and `pde` load numpy;
-# the annotations name two of them without importing them.
+# Each subcommand imports the library modules it uses, so that only `forms dirac|laplacian|poisson` and
+# `pde` load numpy; the annotations name two of them without importing them.
 if TYPE_CHECKING:
     from . import complexes as cx
     from . import forms
@@ -262,7 +262,6 @@ def cmd_graph(args, out):
 
 def cmd_forms(args, out):
     from . import complexes as cx
-    from . import evolution as ev
     from . import forms
 
     g = _load_graph(args)
@@ -289,6 +288,8 @@ def cmd_forms(args, out):
         out.write(f"residual: {fmt(lhs - rhs)}\n")
         return 0
     if args.action == "poisson":
+        from . import evolution as ev
+
         if not args.current:
             raise UsageError("poisson needs --current PATH")
         j = _load_form(args.current, c, 1)

@@ -30,6 +30,8 @@ class Graph:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise DomainError(f"vertex count {self.vertex_count} is negative")
         normalized = set()
         adj = [set() for _ in range(self.vertex_count)]
         for a, b in self.edges:

@@ -1,15 +1,20 @@
 """k-forms and the exterior calculus operators on a clique complex.
 
-The matrices d, D = d + d*, L = D^2 are int64 arrays built from the face
-table ``GraphComplex.faces``.  Every entry of d and D is 0 or +-1, and L and
-its blocks are Gram products m^T m of them, run in float64 BLAS yet exact:
-each partial sum is an integer below 2^53.  So d.d = 0 and L = D^2 hold
-exactly.  Form values stay Python objects (an int64 operator times an object
-vector is exact object arithmetic).  ``apply_d`` builds no matrix: it gathers
-the face values of each simplex through the face table and adds them with
-signs (-1)^i; ``boundary_faces`` counts face positions mod 2, and the Stokes
-boundary sum uses the signs ``orient_region`` propagates over the table.
-Exact-only: flows and the Poisson/Maxwell solve live in ``discalc.evolution``.
+A form is a tuple of Python numbers indexed by the k-simplices, and the
+exact layer (``Form``, ``apply_d``, the integrals, Stokes and ``potential``)
+is plain Python over the face table ``GraphComplex.faces``.  ``apply_d``
+builds no matrix: it gathers the face values of each simplex through the
+table and adds them with signs (-1)^i; ``boundary_faces`` counts face
+positions mod 2, and the Stokes boundary sum uses the signs ``orient_region``
+propagates over the table.
+
+Numpy is imported only by the matrix builders ``exterior_derivative``,
+``dirac`` and ``_gram``.  The matrices d, D = d + d*, L = D^2 are int64
+arrays built from the same table.  Every entry of d and D is 0 or +-1, and
+L and its blocks are Gram products m^T m of them, run in float64 BLAS yet
+exact: each partial sum is an integer below 2^53.  So d.d = 0 and L = D^2
+hold exactly.  Exact-only: flows and the Poisson/Maxwell solve live in
+``discalc.evolution``.
 """
 
 from __future__ import annotations
@@ -17,11 +22,15 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING
 
 from .complexes import GraphComplex, Orientation, orient_region
 from .numcore import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,21 +42,25 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class Form:
-    """Value vector indexed by the k-simplices in reference orientation."""
+    """Value tuple indexed by the k-simplices in reference orientation."""
 
     complex_ref: GraphComplex
     degree: int
-    values: np.ndarray
+    values: tuple
 
     def __post_init__(self):
+        # an ndarray gives up its entries as Python numbers: np.int64 entries would wrap in the sums
+        values = self.values.tolist() if hasattr(self.values, "tolist") else self.values
+        object.__setattr__(self, "values", tuple(values))
         expected = self.complex_ref.count(self.degree)
         if len(self.values) != expected:
             raise DomainError(f"degree-{self.degree} form needs {expected} values")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=object))
 
 
 def exterior_derivative(c: GraphComplex, k: int) -> OperatorMatrix:
     """Signed face-sum matrix d_k: k-forms -> (k+1)-forms."""
+    import numpy as np
+
     if k < 0:
         raise DomainError("degree must be >= 0")
     rows = c.count(k + 1)
@@ -89,6 +102,8 @@ def block_offsets(c: GraphComplex) -> list:
 
 def dirac(c: GraphComplex) -> OperatorMatrix:
     """Block matrix D = d + d* on the direct sum of all form spaces."""
+    import numpy as np
+
     n = total_dim(c)
     offsets = block_offsets(c)
     mat = np.zeros((n, n), dtype=np.int64)
@@ -122,6 +137,8 @@ def _gram(m: np.ndarray) -> np.ndarray:
     Every partial sum of an entry is an integer of size at most m.shape[0], and float64 holds each
     integer below 2^53 exactly, so no step rounds and the cast back to int64 is lossless.
     """
+    import numpy as np
+
     f = m.astype(float)
     f = f.T @ f  # drops the copy of m before the cast allocates
     return f.astype(np.int64)
@@ -133,10 +150,12 @@ def apply_d(F: Form) -> Form:
     if k < 0:
         raise DomainError("degree must be >= 0")
     if k >= c.top_dim:
-        return Form(c, k + 1, np.zeros(0, dtype=object))
-    # columns reversed: faces in ascending position, the summation order of d_k @ F
-    gathered = F.values[np.array(c.faces[k + 1])[:, ::-1]]
-    return Form(c, k + 1, (gathered * (-1) ** np.arange(k + 1, -1, -1)).sum(axis=1))
+        return Form(c, k + 1, ())
+    # faces in ascending position, i.e. column i from k+1 down to 0, added left to right from the
+    # first term: the summation order of d_k @ F.  Not sum(), which compensates float sums on 3.12+.
+    values, signs = F.values, [(-1) ** i for i in range(k + 1, -1, -1)]
+    return Form(c, k + 1, [reduce(add, [s * values[f] for s, f in zip(signs, reversed(row))])
+                           for row in c.faces[k + 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +314,7 @@ class NotGradientFieldError(DomainError):
         self.witness = witness
 
 
-def potential(c: GraphComplex, F: Form) -> np.ndarray:
+def potential(c: GraphComplex, F: Form) -> list:
     """Solve d0 f = F by spanning-tree propagation; f(v0) = 0.
 
     Raises NotGradientFieldError with a violated cycle when F has
@@ -305,7 +324,7 @@ def potential(c: GraphComplex, F: Form) -> np.ndarray:
     if g.vertex_count == 0:
         raise DomainError("empty graph")
     adj = g.adjacency()
-    f = np.full(g.vertex_count, None, dtype=object)
+    f = [None] * g.vertex_count
     parent = [None] * g.vertex_count
     f[0] = 0
     queue = deque([0])

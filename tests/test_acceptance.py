@@ -214,8 +214,8 @@ def test_criterion_7_flows():
         assert abs(np.linalg.norm(out) - np.linalg.norm(psi0)) < 1e-10
 
     f0 = fm.Form(octa, 1, np.array([rng.randint(-9, 9) for _ in range(12)], dtype=object))
-    one = ev.heat_flow(octa, 1, ev.heat_flow(octa, 1, f0, 0.7), 0.5).values.astype(float)
-    two = ev.heat_flow(octa, 1, f0, 1.2).values.astype(float)
+    one = np.asarray(ev.heat_flow(octa, 1, ev.heat_flow(octa, 1, f0, 0.7), 0.5).values, dtype=float)
+    two = np.asarray(ev.heat_flow(octa, 1, f0, 1.2).values, dtype=float)
     assert np.abs(one - two).max() < 1e-9
 
     d = fm.dirac(octa).data.astype(float)

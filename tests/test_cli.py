@@ -284,6 +284,7 @@ class TestFrontDoor:
         (("graph", "info", "--gen", "cycle:abc"), {}, 1),
         (("graph", "info", "--file", "{g}"), {"g": "not json"}, 1),
         (("graph", "info", "--file", "{g}"), {"g": '{"vertices": 3}'}, 1),
+        (("graph", "info", "--file", "{g}"), {"g": '{"vertices": -1, "edges": []}'}, 2),
         (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,1-0,3\n"}, 1),
         (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-1,abc\n"}, 1),
         (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-1\n"}, 1),
@@ -328,8 +329,8 @@ class TestFrontDoor:
          {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
         (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
-    ], ids=["gen-not-int", "file-not-json", "file-no-edges", "simplex-descending", "value-not-number",
-            "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
+    ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "simplex-descending",
+            "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
             "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
             "laplacian-degree-past-top", "t-inf", "t-nan", "a-nan", "h-inf", "range-inf", "range-nan",
             "exp-h-zero", "sin-h-zero", "exp-negative-base", "exp-overflow", "pow-negative",
@@ -368,7 +369,7 @@ class TestFrontDoor:
 
     def test_scalar_modules_leave_numpy_unloaded(self):
         code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate, discalc.complexes, "
-                "discalc.topology, discalc.cli\n"
+                "discalc.topology, discalc.forms, discalc.cli\n"
                 "if 'numpy' in sys.modules: raise SystemExit('numpy imported by a plain-Python module')")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
@@ -392,12 +393,15 @@ class TestFrontDoor:
         ("graph", "curvature", "--gen", "icosahedron"),
         ("graph", "indices", "--gen", "octahedron", "--fn", "{f}"),
         ("graph", "classify", "--gen", "annulus:2"),
+        ("forms", "stokes", "--gen", "wheel:6", "--form", "{w}"),
     ], ids=["eval", "sum", "taylor-eval", "taylor-print", "plot-sin", "plot-pow", "graph-info", "graph-betti",
-            "graph-curvature", "graph-indices", "graph-classify"])
+            "graph-curvature", "graph-indices", "graph-classify", "forms-stokes"])
     def test_scalar_and_graph_commands_leave_numpy_unloaded(self, tmp_path, args):
         (tmp_path / "samples.csv").write_text("0,1\n1,2\n2,4\n3,8\n4,16\n")
         (tmp_path / "fn.csv").write_text("0,0\n1,9\n2,1\n3,2\n4,3\n5,4\n")
-        paths = {"s": tmp_path / "samples.csv", "f": tmp_path / "fn.csv", "o": tmp_path / "out.svg"}
+        (tmp_path / "form.csv").write_text("1,0-1,3\n1,1-6,2/3\n1,5-6,-1.5\n")
+        paths = {"s": tmp_path / "samples.csv", "f": tmp_path / "fn.csv", "w": tmp_path / "form.csv",
+                 "o": tmp_path / "out.svg"}
         code = ("import sys\nfrom discalc import cli\ncode = cli.main(sys.argv[1:])\n"
                 "if code: raise SystemExit(f'exit {code}')\n"
                 "if 'numpy' in sys.modules: raise SystemExit('numpy loaded by ' + sys.argv[1])")
@@ -421,7 +425,9 @@ class TestFrontDoor:
                 pytest.fail(f"{module}.py line {node.lineno} imports numpy")
 
     def test_every_import_is_used(self):
-        for path in sorted(Path(discalc.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        here = Path(__file__).parent
+        for path in (sorted(Path(discalc.__file__).parent.glob("*.py")) + sorted(here.glob("*.py"))
+                     + sorted((here.parent / "demos").glob("*.py"))):
             imported, used = {}, set()
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":

@@ -37,6 +37,11 @@ class TestGraph:
         with pytest.raises(DomainError):
             cx.Graph(2, frozenset({(0, 2)}))
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(DomainError):
+            cx.Graph(-1, frozenset())
+        assert cx.Graph(0, frozenset()).vertex_count == 0
+
     def test_neighbors(self):
         g = cx.generate("cycle", 5)
         assert g.neighbors(0) == {1, 4}

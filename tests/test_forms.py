@@ -129,6 +129,17 @@ class TestApplyD:
                 assert dF.degree == k + 1
                 assert list(dF.values) == list(fm.exterior_derivative(c, k).data @ F.values)
 
+    def test_matches_dense_d_on_float_forms(self):
+        # magnitudes far apart, so a sum in any other order rounds differently
+        rng = random.Random(9)
+        for spec in ("hexpatch:4", "icosahedron", "complete:6", "annulus:3"):
+            c = cx.build_complex(cx.parse_generator(spec))
+            for k in range(c.top_dim + 1):
+                values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(c.count(k))]
+                dF = fm.apply_d(fm.Form(c, k, values))
+                # the object product adds in ascending column order; @ on floats would go through BLAS
+                assert dF.values == tuple(fm.exterior_derivative(c, k).data @ np.array(values, dtype=object))
+
     def test_negative_degree_rejected(self):
         c = cx.build_complex(cx.generate("complete", 3))
         with pytest.raises(DomainError):
@@ -136,6 +147,15 @@ class TestApplyD:
 
 
 class TestIntegration:
+    def test_int64_array_form_integrates_exactly(self):
+        # int64 entries would wrap past 2^63; the form holds them as Python ints
+        c = cx.build_complex(cx.generate("complete", 3))
+        F = fm.Form(c, 1, np.array([2**62, -2**62, 2**62], dtype=np.int64))
+        total = fm.line_integral(F, [0, 1, 2])
+        assert total == 2**63 and type(total) is int
+        lhs, rhs = fm.stokes_sides(c, c.simplices[2], F)
+        assert lhs == rhs == 3 * 2**62 and type(lhs) is int and type(rhs) is int
+
     def test_line_integral_of_gradient(self):
         rng = random.Random(8)
         for _ in range(100):
