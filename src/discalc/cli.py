@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 from .numcore import DomainError, ParseError, Sequence, exp_h, exp_h_complex, log_discrete, sin_h
 
-# Each subcommand imports the library modules it uses, so that only `forms dirac|laplacian|poisson` and
-# `pde` load numpy; the annotations name two of them without importing them.
+# Each subcommand imports the library modules it uses, so that only `forms poisson` and `pde` load
+# numpy; the annotations name two of them without importing them.
 if TYPE_CHECKING:
     from . import complexes as cx
     from . import forms
@@ -175,9 +175,13 @@ def _simplex_name(simplex: tuple) -> str:
     return "-".join(str(v) for v in simplex)
 
 
-def _print_matrix(mat, out):
-    for row in mat.tolist():
-        out.write(" ".join(map(str, row)) + "\n")
+def _print_matrix(op: forms.OperatorMatrix, out):
+    n = op.shape[1]
+    for row in op.rows:
+        cells = ["0"] * n
+        for j, v in row.items():
+            cells[j] = str(v)
+        out.write(" ".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +271,13 @@ def cmd_forms(args, out):
     g = _load_graph(args)
     c = cx.build_complex(g)
     if args.action == "dirac":
-        _print_matrix(forms.dirac(c).data, out)
+        _print_matrix(forms.dirac(c), out)
         return 0
     if args.action == "laplacian":
         if args.degree is not None:
-            _print_matrix(forms.laplacian_block(c, args.degree).data, out)
+            _print_matrix(forms.laplacian_block(c, args.degree), out)
         else:
-            _print_matrix(forms.laplacian(c).data, out)
+            _print_matrix(forms.laplacian(c), out)
         return 0
     if args.action == "stokes":
         if not args.form:

@@ -72,7 +72,11 @@ class Graph:
     def from_json(text: str) -> "Graph":
         payload = json.loads(text)
         labels = tuple(payload["labels"]) if "labels" in payload else None
-        return Graph(payload["vertices"], frozenset(tuple(e) for e in payload["edges"]), labels)
+        edges = frozenset(tuple(e) for e in payload["edges"])
+        # bool is a subclass of int: without this, true and false would read as 1 and 0
+        if any(isinstance(v, bool) for v in (payload["vertices"], *(v for e in edges for v in e))):
+            raise TypeError("a vertex count or an edge endpoint is a boolean, not an integer")
+        return Graph(payload["vertices"], edges, labels)
 
 
 @dataclass(frozen=True)

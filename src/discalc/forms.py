@@ -8,13 +8,13 @@ table and adds them with signs (-1)^i; ``boundary_faces`` counts face
 positions mod 2, and the Stokes boundary sum uses the signs ``orient_region``
 propagates over the table.
 
-Numpy is imported only by the matrix builders ``exterior_derivative``,
-``dirac`` and ``_gram``.  The matrices d, D = d + d*, L = D^2 are int64
-arrays built from the same table.  Every entry of d and D is 0 or +-1, and
-L and its blocks are Gram products m^T m of them, run in float64 BLAS yet
-exact: each partial sum is an integer below 2^53.  So d.d = 0 and L = D^2
-hold exactly.  Exact-only: flows and the Poisson/Maxwell solve live in
-``discalc.evolution``.
+The operators d, d* = d^T, D = d + d* and L = D^2 are ``OperatorMatrix``
+values: sparse integer rows, one ``{column: nonzero}`` dict per row, read
+off the same table.  Every entry of d and D is 0 or +-1, and L and its
+blocks are Gram products m^T m summed in Python ints, so d.d = 0 and
+L = D^2 hold exactly.  Numpy is imported only by ``OperatorMatrix.data``,
+the dense int64 array the spectral layer reads.  Exact-only: flows and the
+Poisson/Maxwell solve live in ``discalc.evolution``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -35,9 +35,27 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense int64 operator matrix."""
+    """Sparse integer matrix: ``rows[r]`` maps the column of each nonzero entry of row r to it."""
 
-    data: np.ndarray
+    shape: tuple
+    rows: tuple
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense C-ordered int64 array, scattered from the rows on first read."""
+        import numpy as np
+
+        mat = np.zeros(self.shape, dtype=np.int64)
+        mat[[r for r, row in enumerate(self.rows) for _ in row],
+            [j for row in self.rows for j in row]] = [v for row in self.rows for v in row.values()]
+        return mat
+
+    def transpose(self) -> OperatorMatrix:
+        rows = [{} for _ in range(self.shape[1])]
+        for r, row in enumerate(self.rows):
+            for j, v in row.items():
+                rows[j][r] = v
+        return OperatorMatrix(self.shape[::-1], tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -59,22 +77,18 @@ class Form:
 
 def exterior_derivative(c: GraphComplex, k: int) -> OperatorMatrix:
     """Signed face-sum matrix d_k: k-forms -> (k+1)-forms."""
-    import numpy as np
-
     if k < 0:
         raise DomainError("degree must be >= 0")
-    rows = c.count(k + 1)
-    mat = np.zeros((rows, c.count(k)), dtype=np.int64)
-    if rows:
-        mat[np.arange(rows)[:, None], np.array(c.faces[k + 1])] = (-1) ** np.arange(k + 2)
-    return OperatorMatrix(mat)
+    signs = [(-1) ** i for i in range(k + 2)]
+    rows = c.faces[k + 1] if k < c.top_dim else ()
+    return OperatorMatrix((len(rows), c.count(k)), tuple(dict(zip(row, signs)) for row in rows))
 
 
 def codifferential(c: GraphComplex, k: int) -> OperatorMatrix:
     """Adjoint d*: k-forms -> (k-1)-forms (plain transpose of d_{k-1})."""
     if k < 1:
         raise DomainError("codifferential needs degree >= 1")
-    return OperatorMatrix(exterior_derivative(c, k - 1).data.T)
+    return exterior_derivative(c, k - 1).transpose()
 
 
 def gradient(c: GraphComplex) -> OperatorMatrix:
@@ -102,46 +116,45 @@ def block_offsets(c: GraphComplex) -> list:
 
 def dirac(c: GraphComplex) -> OperatorMatrix:
     """Block matrix D = d + d* on the direct sum of all form spaces."""
-    import numpy as np
-
     n = total_dim(c)
     offsets = block_offsets(c)
-    mat = np.zeros((n, n), dtype=np.int64)
+    rows = [{} for _ in range(n)]
     for k in range(c.top_dim):
-        d = exterior_derivative(c, k).data
-        r0, r1 = offsets[k + 1], offsets[k + 2]
-        c0, c1 = offsets[k], offsets[k + 1]
-        mat[r0:r1, c0:c1] = d
-        mat[c0:c1, r0:r1] = d.T
-    return OperatorMatrix(mat)
+        r0, c0 = offsets[k + 1], offsets[k]
+        for r, row in enumerate(exterior_derivative(c, k).rows, r0):
+            for j, v in row.items():
+                rows[r][c0 + j] = v
+                rows[c0 + j][r] = v
+    return OperatorMatrix((n, n), tuple(rows))
 
 
 def laplacian(c: GraphComplex) -> OperatorMatrix:
     """L = D^2 = d d* + d* d; D is symmetric, so D^2 = D^T D."""
-    return OperatorMatrix(_gram(dirac(c).data))
+    return _gram(dirac(c))
 
 
 def laplacian_block(c: GraphComplex, k: int) -> OperatorMatrix:
-    """The degree-k block L_k = d_k* d_k + d_{k-1} d_{k-1}*."""
+    """The degree-k block L_k = d_k* d_k + d_{k-1} d_{k-1}*: the Gram matrix of the rows of d_k
+    stacked on those of d_{k-1}^T."""
     if k > c.top_dim:
         raise DomainError(f"the complex has no {k}-simplices")
-    mat = _gram(exterior_derivative(c, k).data)
+    m = exterior_derivative(c, k)
     if k:
-        mat += _gram(exterior_derivative(c, k - 1).data.T)
-    return OperatorMatrix(mat)
+        down = exterior_derivative(c, k - 1).transpose()
+        m = OperatorMatrix((m.shape[0] + down.shape[0], m.shape[1]), m.rows + down.rows)
+    return _gram(m)
 
 
-def _gram(m: np.ndarray) -> np.ndarray:
-    """m^T m of a 0/+-1 int64 matrix, exactly, by a float64 BLAS product (numpy has no int64 BLAS).
-
-    Every partial sum of an entry is an integer of size at most m.shape[0], and float64 holds each
-    integer below 2^53 exactly, so no step rounds and the cast back to int64 is lossless.
-    """
-    import numpy as np
-
-    f = m.astype(float)
-    f = f.T @ f  # drops the copy of m before the cast allocates
-    return f.astype(np.int64)
+def _gram(m: OperatorMatrix) -> OperatorMatrix:
+    """m^T m in Python ints: each row adds the outer product of its nonzeros; zero sums are dropped."""
+    out = [{} for _ in range(m.shape[1])]
+    for row in m.rows:
+        items = row.items()
+        for i, a in items:
+            acc = out[i]
+            for j, b in items:
+                acc[j] = acc.get(j, 0) + a * b
+    return OperatorMatrix((m.shape[1],) * 2, tuple({j: v for j, v in acc.items() if v} for acc in out))
 
 
 def apply_d(F: Form) -> Form:

@@ -216,6 +216,14 @@ class TestForms:
         ("dirac", "hexpatch:2"): "e63b2ab0562fb7d4d5eeec2dcfdc9c6276b491a4592cffc0726fe729ea2d2c75",
         ("laplacian", "hexpatch:2"): "39efcb317e4bfe30c35cfac1689c1096fded9afa846c69d00a3ce41022f0cdec",
         ("laplacian", "hexpatch:2", "--degree", "1"): "8534f08627584edead532a19881bca69ee5a250a6dbfdd4818765dca01de68b2",
+        # the empty graph, a single vertex, a non-orientable surface and blocks whose down part has 3-4 faces per row
+        ("dirac", "empty.json"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("laplacian", "empty.json"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("laplacian", "empty.json", "--degree", "0"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("dirac", "complete:1"): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        ("laplacian", "moebius"): "22149a63dc80a201bbbb4e578765f342bce5e8dfc5f832e34512f7cdf01948d3",
+        ("laplacian", "complete:5", "--degree", "2"): "3e49b2d3562ced250b02ee31e66ac34c250dd4c9b0d2b05e59ffd79848b18625",
+        ("laplacian", "complete:5", "--degree", "3"): "be9b29de86fe4df1b24927ae522e16f1a7c4b1b235ba7ddf56755c943a43efcc",
         ("stokes", "wheel:6", "--form", "stokes.csv"): "13febe9f55fae45fa1aa9c227da8b1ee8b831a7e7bf35a1e7f65caa69daa72f0",
         ("poisson", "complete:5", "--current", "current.csv"):
             "0189c2b8eed5677d27eb1d3d94baab642f8894ec03174cbab1e8b466017b50f3",
@@ -234,6 +242,7 @@ class TestForms:
         (tmp_path / "stokes.csv").write_text("\n".join(stokes + [f"1,{i}-6,1" for i in range(6)]) + "\n")
         (tmp_path / "current.csv").write_text("1,0-1,1\n1,1-2,1\n1,0-2,-1\n")
         (tmp_path / "f0.csv").write_text("0,0,1\n")
+        (tmp_path / "empty.json").write_text('{"vertices": 0, "edges": []}')
         annulus = cx.build_complex(cx.parse_generator("annulus:3"))
         current = {e: 0 for e in annulus.simplices[1]}
         for i, (a, b, c) in enumerate(annulus.simplices[2]):  # d1* of a 2-form: no divergence, no harmonic part
@@ -247,7 +256,8 @@ class TestForms:
         for (action, gen, *rest), digest in self.GOLDEN.items():
             command = "pde" if action in ("heat", "wave") else "forms"
             rest = [str(tmp_path / a) if a.endswith(".csv") else a for a in rest]
-            r = run_cli(command, action, "--gen", gen, *rest)
+            source = ("--file", str(tmp_path / gen)) if gen.endswith(".json") else ("--gen", gen)
+            r = run_cli(command, action, *source, *rest)
             assert r.returncode == 0, (action, gen, r.stderr)
             assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, (action, gen, *rest)
 
@@ -285,6 +295,8 @@ class TestFrontDoor:
         (("graph", "info", "--file", "{g}"), {"g": "not json"}, 1),
         (("graph", "info", "--file", "{g}"), {"g": '{"vertices": 3}'}, 1),
         (("graph", "info", "--file", "{g}"), {"g": '{"vertices": -1, "edges": []}'}, 2),
+        (("graph", "info", "--file", "{g}"), {"g": '{"vertices": true, "edges": []}'}, 1),
+        (("graph", "info", "--file", "{g}"), {"g": '{"vertices": 2, "edges": [[0, true]]}'}, 1),
         (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,1-0,3\n"}, 1),
         (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-1,abc\n"}, 1),
         (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-1\n"}, 1),
@@ -329,7 +341,8 @@ class TestFrontDoor:
          {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
         (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
-    ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "simplex-descending",
+    ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "file-bool-vertex-count",
+            "file-bool-endpoint", "simplex-descending",
             "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
             "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
             "laplacian-degree-past-top", "t-inf", "t-nan", "a-nan", "h-inf", "range-inf", "range-nan",
@@ -394,8 +407,12 @@ class TestFrontDoor:
         ("graph", "indices", "--gen", "octahedron", "--fn", "{f}"),
         ("graph", "classify", "--gen", "annulus:2"),
         ("forms", "stokes", "--gen", "wheel:6", "--form", "{w}"),
+        ("forms", "dirac", "--gen", "wheel:6"),
+        ("forms", "laplacian", "--gen", "wheel:6"),
+        ("forms", "laplacian", "--gen", "wheel:6", "--degree", "1"),
     ], ids=["eval", "sum", "taylor-eval", "taylor-print", "plot-sin", "plot-pow", "graph-info", "graph-betti",
-            "graph-curvature", "graph-indices", "graph-classify", "forms-stokes"])
+            "graph-curvature", "graph-indices", "graph-classify", "forms-stokes", "forms-dirac", "forms-laplacian",
+            "forms-laplacian-block"])
     def test_scalar_and_graph_commands_leave_numpy_unloaded(self, tmp_path, args):
         (tmp_path / "samples.csv").write_text("0,1\n1,2\n2,4\n3,8\n4,16\n")
         (tmp_path / "fn.csv").write_text("0,0\n1,9\n2,1\n3,2\n4,3\n5,4\n")

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +99,26 @@ class TestExteriorDerivative:
         ops = [fm.exterior_derivative(c, k) for k in range(c.top_dim + 1)]
         ops += [fm.codifferential(c, 1), fm.dirac(c), fm.laplacian(c), fm.laplacian_block(c, 1)]
         assert all(op.data.dtype == np.int64 for op in ops)
+
+    def test_operators_leave_numpy_unloaded_until_data(self):
+        # a fresh interpreter: this one has numpy loaded already
+        code = ("import sys\nfrom discalc import complexes as cx, forms as fm\n"
+                "c = cx.build_complex(cx.generate('icosahedron'))\n"
+                "ops = [fm.exterior_derivative(c, 1), fm.codifferential(c, 2), fm.dirac(c), fm.laplacian(c), "
+                "fm.laplacian_block(c, 1)]\n"
+                "if 'numpy' in sys.modules: raise SystemExit('numpy loaded by an operator builder')\n"
+                "ops[3].data\n"
+                "if 'numpy' not in sys.modules: raise SystemExit('numpy not loaded by .data')")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+
+    def test_sparse_rows_hold_only_nonzeros(self):
+        for spec in ("icosahedron", "complete:5", "moebius"):
+            c = cx.build_complex(cx.parse_generator(spec))
+            for op in (fm.dirac(c), fm.laplacian(c), fm.laplacian_block(c, 1), fm.codifferential(c, 1)):
+                assert len(op.rows) == op.shape[0]
+                assert all(v != 0 and 0 <= j < op.shape[1] for row in op.rows for j, v in row.items())
+                assert sum(map(len, op.rows)) == np.count_nonzero(op.data)
 
     def test_laplacian_block_past_top_dim_rejected(self):
         c = cx.build_complex(cx.generate("cycle", 4))
