@@ -217,11 +217,12 @@ def cmd_taylor(args, out):
     # a nonzero window start is handled by shifting the variable
     anchored = Sequence(0, samples.values)
     table = ip.forward_differences(anchored)
+    print_form = args.print_form or args.eval is None
+    if print_form and samples.base != 0:  # checked before the first write: an error leaves stdout empty
+        raise DomainError("--print needs samples anchored at x = 0")
     if args.eval is not None:
         out.write(fmt(ip.newton_gregory_eval(table, args.eval - samples.base)) + "\n")
-    if args.print_form or args.eval is None:
-        if samples.base != 0:
-            raise DomainError("--print needs samples anchored at x = 0")
+    if print_form:
         out.write(expr.to_string(ip.interpolate_fit(samples)) + "\n")
     return 0
 

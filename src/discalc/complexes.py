@@ -2,8 +2,9 @@
 
 Simplices of dimension k are the complete subgraphs K_{k+1}, stored as
 ascending vertex tuples; the ascending order is the reference orientation.
-The face table ``GraphComplex.faces``, tuples of Python ints, is the one face
-walk: operators, orientations and level curves read it.
+The face table ``GraphComplex.faces`` is the signed incidence, built once per
+complex in Python ints: its rows are the rows of each d_k, and operators, Betti
+numbers, orientations and level curves read them as they are.
 """
 
 from __future__ import annotations
@@ -112,13 +113,15 @@ class GraphComplex:
 
     @cached_property
     def faces(self) -> tuple:
-        """Signed incidence, built once: ``faces[k][r][i]`` is the position in
-        ``simplices[k-1]`` of the face of ``simplices[k][r]`` that drops vertex
-        i, with sign (-1)^i.  The rows of ``faces[0]`` are empty tuples."""
-        table = [((),) * self.count(0)]
+        """Signed incidence, built once: ``faces[k][r]`` is row r of d_{k-1}, the dict that maps the
+        position in ``simplices[k-1]`` of the face of ``simplices[k][r]`` that drops vertex i to (-1)^i,
+        in column order i = 0..k.  The rows of ``faces[0]`` are empty.  Rows are shared by every
+        reader, so none may change one."""
+        table = [({},) * self.count(0)]
         for k in range(1, self.top_dim + 1):
             below = self.index[k - 1]
-            table.append(tuple(tuple(below[s[:i] + s[i + 1:]] for i in range(k + 1)) for s in self.simplices[k]))
+            table.append(tuple({below[s[:i] + s[i + 1:]]: (-1) ** i for i in range(k + 1)}
+                               for s in self.simplices[k]))
         return tuple(table)
 
 
@@ -380,7 +383,7 @@ def orient_region(c: GraphComplex, k: int, region) -> Orientation:
 
     Adjacent simplices (sharing a (k-1)-face) must induce opposite
     orientations on the shared face.  The first region simplex is seeded +1.
-    Signs travel over the face positions in ``c.faces[k]``, entry i with sign (-1)^i.
+    Signs travel over the signed rows of ``c.faces[k]``.
     """
     if k < 1:
         raise DomainError("orientation needs degree >= 1")
@@ -388,19 +391,19 @@ def orient_region(c: GraphComplex, k: int, region) -> Orientation:
     if not rows:
         raise DomainError("empty region")
     faces, face_rows = c.simplices[k - 1], c.faces[k]
-    incidences = {}  # face position -> [(row, column)] in region order
+    incidences = {}  # face position -> [(row, incidence sign)] in region order
     for r in rows:
-        for i, f in enumerate(face_rows[r]):
-            incidences.setdefault(f, []).append((r, i))
+        for f, sign in face_rows[r].items():
+            incidences.setdefault(f, []).append((r, sign))
 
     signs, stack = {rows[0]: 1}, [rows[0]]
     while stack:
         r = stack.pop()
-        for i, f in enumerate(face_rows[r]):
-            for t, j in incidences[f]:
+        for f, sign in face_rows[r].items():
+            for t, other in incidences[f]:
                 if t == r:
                     continue
-                want = -signs[r] * (-1) ** (i + j)
+                want = -signs[r] * sign * other
                 if t in signs:
                     if signs[t] != want:
                         raise NonOrientableError(f"orientation clash on face {faces[f]}")
@@ -410,7 +413,7 @@ def orient_region(c: GraphComplex, k: int, region) -> Orientation:
     if len(signs) != len(rows):
         raise DomainError("region is not connected")
 
-    boundary_signs = {faces[f]: signs[r] * (-1) ** i for f, [(r, i), *others] in incidences.items() if not others}
+    boundary_signs = {faces[f]: signs[r] * sign for f, [(r, sign), *others] in incidences.items() if not others}
     return Orientation(k, {c.simplices[k][r]: sign for r, sign in signs.items()}, boundary_signs)
 
 

@@ -2,19 +2,20 @@
 
 A form is a tuple of Python numbers indexed by the k-simplices, and the
 exact layer (``Form``, ``apply_d``, the integrals, Stokes and ``potential``)
-is plain Python over the face table ``GraphComplex.faces``.  ``apply_d``
-builds no matrix: it gathers the face values of each simplex through the
-table and adds them with signs (-1)^i; ``boundary_faces`` counts face
+is plain Python over the signed face table ``GraphComplex.faces``, whose rows
+are the rows of d.  ``apply_d`` builds no matrix: it adds the signed face
+values of each simplex along its row; ``boundary_faces`` counts face
 positions mod 2, and the Stokes boundary sum uses the signs ``orient_region``
 propagates over the table.
 
 The operators d, d* = d^T, D = d + d* and L = D^2 are ``OperatorMatrix``
-values: sparse integer rows, one ``{column: nonzero}`` dict per row, read
-off the same table.  Every entry of d and D is 0 or +-1, and L and its
-blocks are Gram products m^T m summed in Python ints, so d.d = 0 and
-L = D^2 hold exactly.  Numpy is imported only by ``OperatorMatrix.data``,
-the dense int64 array the spectral layer reads.  Exact-only: flows and the
-Poisson/Maxwell solve live in ``discalc.evolution``.
+values: sparse integer rows, one ``{column: nonzero}`` dict per row.  d wraps
+the table's rows as they are, and the others are built from them.  Every
+entry of d and D is 0 or +-1, and L and its blocks are Gram products m^T m
+summed in Python ints, so d.d = 0 and L = D^2 hold exactly.  Numpy is
+imported only by ``OperatorMatrix.data``, the dense int64 array the spectral
+layer reads.  Exact-only: flows and the Poisson/Maxwell solve live in
+``discalc.evolution``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Sparse integer matrix: ``rows[r]`` maps the column of each nonzero entry of row r to it."""
+    """Sparse integer matrix: ``rows[r]`` maps the column of each nonzero entry of row r to it.
+    Rows may be shared with the face table, so none may change one."""
 
     shape: tuple
     rows: tuple
@@ -76,12 +78,11 @@ class Form:
 
 
 def exterior_derivative(c: GraphComplex, k: int) -> OperatorMatrix:
-    """Signed face-sum matrix d_k: k-forms -> (k+1)-forms."""
+    """Signed face-sum matrix d_k: k-forms -> (k+1)-forms, whose rows are ``c.faces[k+1]``."""
     if k < 0:
         raise DomainError("degree must be >= 0")
-    signs = [(-1) ** i for i in range(k + 2)]
     rows = c.faces[k + 1] if k < c.top_dim else ()
-    return OperatorMatrix((len(rows), c.count(k)), tuple(dict(zip(row, signs)) for row in rows))
+    return OperatorMatrix((len(rows), c.count(k)), rows)
 
 
 def codifferential(c: GraphComplex, k: int) -> OperatorMatrix:
@@ -158,7 +159,7 @@ def _gram(m: OperatorMatrix) -> OperatorMatrix:
 
 
 def apply_d(F: Form) -> Form:
-    """dF(s) = sum_i (-1)^i F(s without vertex i), gathered through the face table."""
+    """dF(s) = sum_i (-1)^i F(s without vertex i), read along the signed rows of the face table."""
     c, k = F.complex_ref, F.degree
     if k < 0:
         raise DomainError("degree must be >= 0")
@@ -166,8 +167,8 @@ def apply_d(F: Form) -> Form:
         return Form(c, k + 1, ())
     # faces in ascending position, i.e. column i from k+1 down to 0, added left to right from the
     # first term: the summation order of d_k @ F.  Not sum(), which compensates float sums on 3.12+.
-    values, signs = F.values, [(-1) ** i for i in range(k + 1, -1, -1)]
-    return Form(c, k + 1, [reduce(add, [s * values[f] for s, f in zip(signs, reversed(row))])
+    values = F.values
+    return Form(c, k + 1, [reduce(add, [s * values[f] for f, s in reversed(row.items())])
                            for row in c.faces[k + 1]])
 
 

@@ -3,10 +3,10 @@
 Everything is exact: curvature and index expectations are rationals.  Curvature
 and Poincare-Hopf indices are read from the simplices in one pass each; the
 index expectation is a local enumeration at each vertex.  Betti numbers come
-from the rank over Q of each d_k, read from the face table
-``GraphComplex.faces`` by sparse fraction-free elimination on Python ints (no
-matrix, no modular step).  The tests check that rank against a dense Bareiss
-elimination of their own.
+from the rank over Q of each d_k, whose rows are the signed rows of the face
+table ``GraphComplex.faces``, by sparse fraction-free elimination on Python
+ints (no matrix, no modular step).  The tests check that rank against a dense
+Bareiss elimination of their own.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ def _sparse_rank(rows) -> int:
     column: r <- a*r - b*p, with a the pivot entry of the stored row p and b
     the entry of r in that column, then r is divided by the gcd of its
     entries.  Every step is an invertible row operation over Q on Python
-    ints, so the rank is exact.
+    ints, so the rank is exact.  A reduction builds a new dict, so the rows
+    passed in, which may be the face table's own, are never changed.
     """
     pivots = {}
     for row in rows:
@@ -57,22 +58,11 @@ def _sparse_rank(rows) -> int:
     return len(pivots)
 
 
-def _rank_d(c: GraphComplex, k: int) -> int:
-    """rank d_k, one row {face position: (-1)^i} per (k+1)-simplex."""
-    if k >= c.top_dim:
-        return 0
-    signs = [(-1) ** i for i in range(k + 2)]
-    return _sparse_rank(dict(zip(faces, signs)) for faces in c.faces[k + 1])
-
-
 def betti(c: GraphComplex) -> tuple:
     """b_k = v_k - rank d_k - rank d_{k-1}; satisfies Euler-Poincare exactly."""
-    ranks = [_rank_d(c, k) for k in range(c.top_dim + 1)]
-    out = []
-    for k in range(c.top_dim + 1):
-        below = ranks[k - 1] if k >= 1 else 0
-        out.append(c.count(k) - ranks[k] - below)
-    return tuple(out)
+    # ranks[k] = rank d_{k-1}, read off the face table's rows; d_{-1} and d_top are zero
+    ranks = [0] + [_sparse_rank(rows) for rows in c.faces[1:]] + [0]
+    return tuple(c.count(k) - ranks[k + 1] - ranks[k] for k in range(c.top_dim + 1))
 
 
 def curvature_vector(c: GraphComplex) -> tuple:

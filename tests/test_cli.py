@@ -341,6 +341,7 @@ class TestFrontDoor:
          {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
         (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
+        (("taylor", "--samples", "{f}", "--eval", "3", "--print"), {"f": "1,1\n2,4\n3,9\n4,16\n"}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "file-bool-vertex-count",
             "file-bool-endpoint", "simplex-descending",
             "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
@@ -353,7 +354,8 @@ class TestFrontDoor:
             "sum-terms-past-direct-bits", "eval-power-past-result-bound",
             "eval-power-far-past-result-bound", "sum-exp-past-result-bound", "eval-exp-just-past-result-bound",
             "eval-literal-power-past-result-bound", "eval-no-closed-form",
-            "stokes-non-orientable", "poisson-harmonic-current", "fn-vertex-twice", "form-simplex-twice"])
+            "stokes-non-orientable", "poisson-harmonic-current", "fn-vertex-twice", "form-simplex-twice",
+            "taylor-print-unanchored"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -444,7 +446,7 @@ class TestFrontDoor:
     def test_every_import_is_used(self):
         here = Path(__file__).parent
         for path in (sorted(Path(discalc.__file__).parent.glob("*.py")) + sorted(here.glob("*.py"))
-                     + sorted((here.parent / "demos").glob("*.py"))):
+                     + sorted((here.parent / "demos").glob("*.py")) + sorted((here.parent / "tools").glob("*.py"))):
             imported, used = {}, set()
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":

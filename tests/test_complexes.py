@@ -129,14 +129,13 @@ class TestBuildComplex:
         rng = random.Random(11)
         for _ in range(30):
             c = cx.build_complex(random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.9)))
-            assert c.faces[0] == ((),) * c.count(0)
+            assert c.faces[0] == ({},) * c.count(0)
             for k in range(1, c.top_dim + 1):
                 table = c.faces[k]
                 assert len(table) == c.count(k)
-                assert all(len(row) == k + 1 and all(type(f) is int for f in row) for row in table)
-                for r, s in enumerate(c.simplices[k]):
-                    for i in range(k + 1):
-                        assert table[r][i] == c.index[k - 1][s[:i] + s[i + 1:]]
+                assert all(type(f) is int and type(v) is int for row in table for f, v in row.items())
+                for s, row in zip(c.simplices[k], table):
+                    assert list(row.items()) == [(c.index[k - 1][s[:i] + s[i + 1:]], (-1) ** i) for i in range(k + 1)]
             assert c.faces is c.faces  # built once per complex
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from discalc import complexes as cx, evolution as ev, forms as fm
+from discalc import complexes as cx, evolution as ev, forms as fm, topology as tp
 from discalc.numcore import DomainError
 
 from conftest import random_connected_graph, random_graph
@@ -93,6 +93,18 @@ class TestExteriorDerivative:
         monkeypatch.setattr(fm, "exterior_derivative", lambda c, k: calls.append(k) or build(c, k))
         fm.laplacian(c)
         assert sorted(calls) == list(range(c.top_dim))
+
+    def test_d_is_the_face_table(self):
+        for spec in ("icosahedron", "complete:5", "moebius"):
+            c = cx.build_complex(cx.parse_generator(spec))
+            assert all(fm.exterior_derivative(c, k).rows is c.faces[k + 1] for k in range(c.top_dim))
+            snapshot = [[dict(row) for row in level] for level in c.faces]
+            # the readers that share the rows leave them as they were
+            fm.laplacian(c)
+            fm.laplacian_block(c, 1)
+            tp.betti(c)
+            fm.apply_d(random_form(random.Random(1), c, 1))
+            assert [[dict(row) for row in level] for level in c.faces] == snapshot
 
     def test_operators_are_int64(self):
         c = cx.build_complex(cx.generate("icosahedron"))
