@@ -31,8 +31,8 @@ for t in (0.0, 1.0, 10.0):
 d = fm.dirac(octa).data.astype(float)
 g0 = d @ np.linspace(0, 1, fm.total_dim(octa))
 for t in (0.0, 1.5, 6.0):
-    w = ev.wave_flow(octa, psi0, g0, t)
-    v = ev.wave_velocity(octa, psi0, g0, t)
+    w = np.asarray(ev.wave_flow(octa, psi0, g0, t))
+    v = np.asarray(ev.wave_velocity(octa, psi0, g0, t))
     energy = float(v @ v + (d @ w) @ (d @ w))
     print(f"wave t = {t:3.1f}: energy = {energy:.12f}")
 

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 from .numcore import DomainError, ParseError, Sequence, exp_h, exp_h_complex, log_discrete, sin_h
 
-# Each subcommand imports the library modules it uses, so that only `forms poisson` and `pde` load
-# numpy; the annotations name two of them without importing them.
+# Each subcommand imports the library modules it uses, and none loads numpy but a `pde` flow past
+# evolution.DENSE_CROSSOVER; the annotations name two of the modules without importing them.
 if TYPE_CHECKING:
     from . import complexes as cx
     from . import forms

@@ -1,20 +1,35 @@
-"""Spectral heat, Schroedinger and wave flows, the Poisson/Maxwell solve
-and a path-sum oracle.
+"""Heat, Schroedinger and wave flows, the Poisson/Maxwell solve and a path-sum oracle.
 
-Every flow and solve acts by a function of one symmetric eigendecomposition
-(``sym_eigen``); the Feynman path enumerator is the independent exact
-route used in tests.
+Every flow is the action of one matrix exponential on one vector, computed in
+plain Python floats and complexes from the sparse rows of an
+``OperatorMatrix``: a truncated Taylor series with scaling steps and an early
+stop (Al-Mohy & Higham, "Computing the action of the matrix exponential",
+SIAM J. Sci. Comput. 2011).  Heat is e^(-tL_k) f and Schroedinger e^(itD) f.
+D is real symmetric, so the wave and its velocity are real parts of the same
+action: cos(Dt) f + sin(Dt) D+ g = Re e^(itD)(f - i D+ g) and
+-D sin(Dt) f + cos(Dt) g = Re e^(itD)(g + i D f).  D+ g and the Poisson
+solve L_1+ j are MINRES solves (Paige & Saunders), which also give the norm of
+the harmonic part of the source, the part no solve reaches.
+
+The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
+taken from one dense eigendecomposition (``sym_eigen``) instead; only that
+route imports numpy.  It is also the route that answers very long times, such
+as heat at t = 1e15, and that reports a t * eigenvalue past the float range.
+The Feynman path enumerator is the independent exact route used in tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .complexes import GraphComplex
 from .forms import Form, OperatorMatrix, dirac, exterior_derivative, laplacian_block, total_dim
 from .numcore import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 SYMMETRY_TOL = 1e-12
@@ -25,6 +40,20 @@ KERNEL_RELATIVE_CUTOFF = 1e-9
 WAVE_HARMONIC_TOL = 1e-9
 POISSON_TOL = 1e-10
 
+# t ||A||_1 up to which the Taylor action costs less than one dense eigendecomposition, numpy import
+# included, on every rung of the size ladder (hexpatch:2..12, complete:4..10, icosahedron, annulus,
+# moebius); the closest rungs cross near 73 (D of complete:10) and 76 (D of hexpatch:6)
+DENSE_CROSSOVER = 64
+# theta_m of Al-Mohy & Higham (2011), Table 3.1, for double precision: m Taylor terms of
+# e^(alpha A / s) meet the unit roundoff as a backward error once ||alpha A||_1 / s <= theta_m
+TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0,
+                45: 7.2, 50: 8.5, 55: 9.9}
+UNIT_ROUNDOFF = 2.0 ** -53
+# ||A r|| / (||A||_1 ||r||) below which a MINRES residual r counts as the part of b in ker A.  Once
+# it is, Lanczos loses orthogonality and the iterates blow up; for L_1 and D of annulus:2..8, D of
+# hexpatch:8..10 and random clique complexes the ratio bottomed out at 1e-9 to 6e-9
+MINRES_KERNEL_RESIDUAL = 1e-7
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -34,14 +63,10 @@ class SpectralDecomposition:
     @property
     def kernel(self) -> np.ndarray:
         """Mask of the eigenvalues that count as zero (the harmonic part)."""
+        import numpy as np
+
         w = np.abs(self.eigenvalues)
         return w <= KERNEL_RELATIVE_CUTOFF * w.max(initial=1.0)
-
-    @property
-    def pinv(self) -> np.ndarray:
-        """Spectrum of the pseudoinverse: 1/w off the kernel, 0 on it."""
-        kernel = self.kernel
-        return np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, self.eigenvalues))
 
     def apply(self, spectrum, v) -> np.ndarray:
         """g(M) v = Q (g(w) * Q^T v) for the values g(w) given as ``spectrum``."""
@@ -60,6 +85,8 @@ def sym_eigen(m) -> SpectralDecomposition:
     nonnegligible size is positive.  Raises ArithmeticError when the
     eigenvectors are not orthonormal or do not reconstruct m.
     """
+    import numpy as np
+
     if isinstance(m, OperatorMatrix):
         m = m.data
     a = np.asarray(m, dtype=float)
@@ -68,9 +95,6 @@ def sym_eigen(m) -> SpectralDecomposition:
     if np.abs(a - a.T).max() > SYMMETRY_TOL:
         raise DomainError("matrix is not symmetric")
     w, q = np.linalg.eigh(a)  # eigenvalues ascend
-    # the flows' BLAS products round differently on the C-ordered q that eigh returns; their
-    # outputs (and the golden digests) are those of a Fortran-ordered q
-    q = np.asfortranarray(q)
     q[:, q[(np.abs(q) > 1e-9).argmax(axis=0), np.arange(len(w))] < 0] *= -1
     dec = SpectralDecomposition(w, q)
     orthonormal = np.abs(q.T @ q - np.eye(len(w))).max()
@@ -82,12 +106,180 @@ def sym_eigen(m) -> SpectralDecomposition:
     return SpectralDecomposition(np.where(dec.kernel, 0.0, w), q)
 
 
-def _state(c: GraphComplex, v, dtype) -> np.ndarray:
-    """v as a vector on the full form space, one entry per simplex."""
-    v = np.asarray(v, dtype=dtype)
-    if v.shape != (total_dim(c),):
+# ---------------------------------------------------------------------------
+# Vectors are lists of Python floats or complexes; sums run left to right in a loop, not through
+# sum(), which compensates float sums on Python 3.12+ and would move the printed digits.
+
+
+def _pairs(op: OperatorMatrix) -> list:
+    """The rows of op as tuples of (column, entry) pairs, which iterate faster than the dicts."""
+    return [tuple(row.items()) for row in op.rows]
+
+
+def _matvec(pairs, v, coeff=1.0) -> list:
+    """coeff * (M v) for the matrix M with the given rows of (column, entry) pairs."""
+    out = []
+    for row in pairs:
+        acc = 0.0
+        for j, a in row:
+            acc += a * v[j]
+        out.append(coeff * acc)
+    return out
+
+
+def _dot(u, v) -> float:
+    acc = 0.0
+    for a, b in zip(u, v):
+        acc += a * b
+    return acc
+
+
+def _norm1(op: OperatorMatrix) -> int:
+    """The largest row sum of |entries|: ||A||_1 for a symmetric A, and a bound on ||A||_2."""
+    return max((sum(map(abs, row.values())) for row in op.rows), default=0)
+
+
+def _max_abs(v) -> float:
+    return max(map(abs, v), default=0.0)
+
+
+def _unit(v: list) -> tuple:
+    """(u, e) with v = u * 2^e and max |u| in [1/2, 1).  The power of two rounds nothing (bar
+    subnormal entries), and no Taylor or MINRES step on u can overflow, whatever the size of v."""
+    e = math.frexp(_max_abs(v))[1]
+    return _ldexp(v, -e), e
+
+
+def _ldexp(v: list, e: int) -> list:
+    """v * 2^e entrywise; DomainError when an entry leaves the float range."""
+    try:
+        return [complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) if isinstance(x, complex)
+                else math.ldexp(x, e) for x in v]
+    except OverflowError:
+        raise DomainError("the result leaves the float range") from None
+
+
+def _rescaled_norm(x: float, e: int) -> float:
+    """x * 2^e for a norm x of a vector scaled by _unit; inf past the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _exp_action(op: OperatorMatrix, alpha, v: list) -> list:
+    """e^(alpha A) v for the symmetric operator A, a real or complex alpha and a vector v."""
+    u, e = _unit(v)
+    cost = abs(alpha) * _norm1(op)
+    if cost <= DENSE_CROSSOVER:
+        u = _taylor_action(_pairs(op), alpha, cost, u)
+    else:  # also a cost past the float range, or nan
+        u = _dense_exp_action(op, alpha, u)
+    return _ldexp(u, e)
+
+
+def _taylor_action(pairs, alpha, cost: float, u: list) -> list:
+    """e^(alpha A) u as s steps of the degree-m Taylor polynomial of e^(alpha A / s), stopping a
+    step early once two terms in a row are below the unit roundoff; cost = ||alpha A||_1, and
+    (m, s) has the fewest products m s with cost / s <= theta_m (Al-Mohy & Higham, Algorithm 3.2)."""
+    if not cost:
+        return u
+    m, s = min(((m, math.ceil(cost / theta)) for m, theta in TAYLOR_THETA.items()), key=lambda p: p[0] * p[1])
+    for _ in range(s):
+        f = b = u
+        c1 = _max_abs(b)
+        for j in range(1, m + 1):
+            b = _matvec(pairs, b, alpha / (s * j))
+            c2 = _max_abs(b)
+            f = [x + y for x, y in zip(f, b)]
+            if c1 + c2 <= UNIT_ROUNDOFF * _max_abs(f):
+                break
+            c1 = c2
+        u = f
+    return u
+
+
+def _dense_exp_action(op: OperatorMatrix, alpha, u: list) -> list:
+    """e^(alpha A) u from one dense eigendecomposition of A."""
+    import numpy as np
+
+    dec = sym_eigen(op)
+    if isinstance(alpha, complex):  # a rotation e^(iwt): every w t must be a float
+        with np.errstate(over="ignore", invalid="ignore"):
+            wt = dec.eigenvalues * alpha.imag
+        if not np.isfinite(wt).all():
+            raise DomainError(f"eigenvalue * t leaves the float range at t = {alpha.imag!r}")
+        spectrum = np.exp(1j * wt)
+    else:
+        spectrum = np.exp(alpha * dec.eigenvalues)
+    return dec.apply(spectrum, np.asarray(u)).tolist()
+
+
+def _minres(op: OperatorMatrix, b: list) -> tuple:
+    """(A+ b, ||h||) for the symmetric, possibly singular system A x = b, where h is the part of b
+    in ker A, which no x reaches; by MINRES (Paige & Saunders, SIAM J. Numer. Anal. 1975).
+
+    The residual r of a first solve is h plus the solve's rounding error, which lies in the range
+    of A, so h = r - A+ A r.  b - h is in the range of A, and the MINRES iterates for it from
+    x = 0 stay there: they converge to A+ b.  b has max-norm below 1.
+    """
+    pairs, anorm = _pairs(op), _norm1(op)
+    r = [a - c for a, c in zip(b, _matvec(pairs, _minres_run(pairs, anorm, b)))]
+    h = [a - c for a, c in zip(r, _minres_run(pairs, anorm, _matvec(pairs, r)))]
+    return _minres_run(pairs, anorm, [a - c for a, c in zip(b, h)]), math.sqrt(_dot(h, h))
+
+
+def _minres_run(pairs, anorm: float, b: list) -> list:
+    """The MINRES solution of A x = b from x = 0, for ||A||_2 <= anorm: the iterate whose residual
+    estimate is rounding error, or whose residual is b's part in ker A."""
+    n = len(b)
+    x = [0.0] * n
+    beta = phibar = math.sqrt(_dot(b, b))
+    r1 = r2 = b
+    w = w2 = [0.0] * n
+    oldb, dbar, epsln, cs, sn = 0.0, 0.0, 0.0, -1.0, 0.0
+    for itn in range(10 * n + 20):
+        if not beta:  # the Krylov space is invariant: x is exact
+            break
+        v = [a / beta for a in r2]
+        y = _matvec(pairs, v)
+        if itn:
+            k = beta / oldb
+            y = [a - k * c for a, c in zip(y, r1)]
+        alfa = _dot(v, y)
+        k = alfa / beta
+        y = [a - k * c for a, c in zip(y, r2)]
+        r1, r2, oldb = r2, y, beta
+        beta = math.sqrt(_dot(y, y))
+        # apply the previous rotation, then make the one that zeroes beta
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        # ||A r|| / ||r|| for the residual r of x, which bounds the next gamma from below
+        if math.sqrt(gbar * gbar + dbar * dbar) <= MINRES_KERNEL_RESIDUAL * anorm:
+            break
+        gamma = math.sqrt(gbar * gbar + beta * beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = [(a - oldeps * c - delta * d) / gamma for a, c, d in zip(v, w1, w2)]
+        x = [a + phi * c for a, c in zip(x, w)]
+        if phibar <= UNIT_ROUNDOFF * anorm * math.sqrt(_dot(x, x)):  # the residual estimate is rounding error
+            break
+    return x
+
+
+# ---------------------------------------------------------------------------
+# Flows and the Poisson/Maxwell solve
+
+
+def _state(c: GraphComplex, v, kind) -> list:
+    """v as a list of Python floats or complexes on the full form space, one entry per simplex."""
+    if len(v) != total_dim(c):
         raise DomainError("state length must equal the total number of simplices")
-    return v
+    return [kind(x) for x in v]
 
 
 def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
@@ -96,48 +288,42 @@ def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
         raise DomainError("heat flow needs t >= 0")
     if f0.degree != k:
         raise DomainError("form degree mismatch")
-    dec = sym_eigen(laplacian_block(c, k))
-    v = np.asarray(f0.values, dtype=float)
-    return Form(c, k, dec.apply(np.exp(-dec.eigenvalues * t), v))
+    return Form(c, k, _exp_action(laplacian_block(c, k), -float(t), [float(x) for x in f0.values]))
 
 
-def _phases(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """w t for the eigenvalues w; DomainError when a product leaves the float range."""
-    with np.errstate(over="ignore"):
-        wt = dec.eigenvalues * t
-    if not np.isfinite(wt).all():
-        raise DomainError(f"eigenvalue * t leaves the float range at t = {t!r}")
-    return wt
-
-
-def schrodinger_flow(c: GraphComplex, f0, t: float) -> np.ndarray:
+def schrodinger_flow(c: GraphComplex, f0, t: float) -> list:
     """e^(itD) f0 on the full form space; unitary."""
-    v = _state(c, f0, complex)
-    dec = sym_eigen(dirac(c))
-    return dec.apply(np.exp(1j * _phases(dec, t)), v)
+    return _exp_action(dirac(c), complex(0.0, t), _state(c, f0, complex))
 
 
-def wave_flow(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
+def wave_flow(c: GraphComplex, f0, g0, t: float) -> list:
     """cos(Dt) f0 + sin(Dt) D+ g0 for initial value f0 and velocity g0.
 
     g0 must have no harmonic (ker D) component; its harmonic norm is
     reported otherwise.
     """
-    f, g = _state(c, f0, float), _state(c, g0, float)
-    dec = sym_eigen(dirac(c))
-    hnorm = float(np.linalg.norm(dec.apply(dec.kernel, g)))
+    f, g, e = _wave_state(c, f0, g0)
+    d = dirac(c)
+    h, hnorm = _minres(d, g)
+    hnorm = _rescaled_norm(hnorm, e)
     if hnorm > WAVE_HARMONIC_TOL:
         raise DomainError(f"initial velocity has harmonic component of norm {hnorm:.3e}")
-    wt = _phases(dec, t)
-    return dec.apply(np.cos(wt), f) + dec.apply(np.sin(wt) * dec.pinv, g)
+    return _ldexp([z.real for z in _exp_action(d, complex(0.0, t), [complex(a, -b) for a, b in zip(f, h)])], e)
 
 
-def wave_velocity(c: GraphComplex, f0, g0, t: float) -> np.ndarray:
+def wave_velocity(c: GraphComplex, f0, g0, t: float) -> list:
     """Time derivative of the wave flow: -D sin(Dt) f0 + cos(Dt) g0."""
+    f, g, e = _wave_state(c, f0, g0)
+    d = dirac(c)
+    df = _matvec(_pairs(d), f)
+    return _ldexp([z.real for z in _exp_action(d, complex(0.0, t), [complex(a, b) for a, b in zip(g, df)])], e)
+
+
+def _wave_state(c: GraphComplex, f0, g0) -> tuple:
+    """(f, g, e): f0 = f * 2^e and g0 = g * 2^e, scaled together by _unit."""
     f, g = _state(c, f0, float), _state(c, g0, float)
-    dec = sym_eigen(dirac(c))
-    w, wt = dec.eigenvalues, _phases(dec, t)
-    return dec.apply(-w * np.sin(wt), f) + dec.apply(np.cos(wt), g)
+    u, e = _unit(f + g)
+    return u[:len(f)], u[len(f):], e
 
 
 class HarmonicComponentError(DomainError):
@@ -152,31 +338,25 @@ def poisson_maxwell(c: GraphComplex, j: Form):
     """Solve L A = j for a divergence-free current, return (A, F = dA).
 
     Checks Kirchhoff (d0* j = 0) and rejects currents with a harmonic
-    component; asserts the Coulomb gauge d0* A = 0 and d1* F = j.
+    component; asserts the Coulomb gauge d0* A = 0 and dF = 0.
     """
     if j.degree != 1:
         raise DomainError("current must be a 1-form")
-    d0 = exterior_derivative(c, 0).data
-    jv = np.asarray(j.values, dtype=float)
-    div_j = d0.T @ jv
-    if len(div_j) and np.abs(div_j).max() > POISSON_TOL:
+    jv, e = _unit([float(x) for x in j.values])
+    d0t = _pairs(exterior_derivative(c, 0).transpose())
+    if _rescaled_norm(_max_abs(_matvec(d0t, jv)), e) > POISSON_TOL:
         raise DomainError("Kirchhoff violated: current has nonzero divergence")
-    dec = sym_eigen(laplacian_block(c, 1))
-    hnorm = float(np.linalg.norm(dec.apply(dec.kernel, jv)))
+    av, hnorm = _minres(laplacian_block(c, 1), jv)
+    hnorm = _rescaled_norm(hnorm, e)
     if hnorm > POISSON_TOL:
         raise HarmonicComponentError("current has a harmonic component", hnorm)
-    av = dec.apply(dec.pinv, jv)
-    A = Form(c, 1, av)
-    gauge = d0.T @ av
-    if len(gauge) and np.abs(gauge).max() > 1e-8:
+    # the gauge and dF = 0 hold to 1e-8 relative to max |j|, whatever its size
+    if _max_abs(_matvec(d0t, av)) > 1e-8:
         raise ArithmeticError("Coulomb gauge violated beyond tolerance")
-    fv = exterior_derivative(c, 1).data @ av
-    F = Form(c, 2, fv)
-    if c.top_dim >= 3:
-        d2 = exterior_derivative(c, 2).data
-        if len(fv) and d2.size and np.abs(d2 @ fv).max() > 1e-8:
-            raise ArithmeticError("dF != 0 beyond tolerance")
-    return A, F
+    fv = _matvec(_pairs(exterior_derivative(c, 1)), av)
+    if _max_abs(_matvec(_pairs(exterior_derivative(c, 2)), fv)) > 1e-8:
+        raise ArithmeticError("dF != 0 beyond tolerance")
+    return Form(c, 1, _ldexp(av, e)), Form(c, 2, _ldexp(fv, e))
 
 
 def feynman_path_sum(m, start: int, end: int, steps: int):
@@ -185,8 +365,9 @@ def feynman_path_sum(m, start: int, end: int, steps: int):
     Equals the (end, start) entry of m^n exactly; enumeration is bounded
     to keep the search desk-scale.
     """
-    mat = np.asarray(m, dtype=object)
-    n = mat.shape[0]
+    # an ndarray gives up its entries as Python numbers, so the products cannot wrap
+    mat = m.tolist() if hasattr(m, "tolist") else [list(row) for row in m]
+    n = len(mat)
     if steps < 0:
         raise DomainError("steps must be >= 0")
     if steps > 8 or n > 40:
@@ -197,7 +378,7 @@ def feynman_path_sum(m, start: int, end: int, steps: int):
             return 1 if position == end else 0
         total = 0
         for nxt in range(n):
-            weight = mat[nxt, position]
+            weight = mat[nxt][position]
             if weight != 0:
                 total += weight * walk(nxt, remaining - 1)
         return total

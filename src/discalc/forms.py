@@ -13,8 +13,8 @@ values: sparse integer rows, one ``{column: nonzero}`` dict per row.  d wraps
 the table's rows as they are, and the others are built from them.  Every
 entry of d and D is 0 or +-1, and L and its blocks are Gram products m^T m
 summed in Python ints, so d.d = 0 and L = D^2 hold exactly.  Numpy is
-imported only by ``OperatorMatrix.data``, the dense int64 array the spectral
-layer reads.  Exact-only: flows and the Poisson/Maxwell solve live in
+imported only by ``OperatorMatrix.data``, the dense int64 array that the dense
+fallback of ``discalc.evolution`` reads.  Exact-only: flows and the Poisson/Maxwell solve live in
 ``discalc.evolution``.
 """
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 
 class DomainError(ValueError):
@@ -108,25 +107,13 @@ def sum_prefix(f: Sequence) -> Sequence:
 def falling_power(x: int, n: int) -> int:
     """x (x-1) ... (x-n+1); the empty product for n = 0, and 0 for 0 <= x < n (factor x - x)."""
     if n < 0:
-        raise DomainError("falling_power needs n >= 0; see falling_power_negative")
+        raise DomainError("falling_power needs n >= 0")
     if 0 <= x < n:
         return 0
     result = 1
     for j in range(n):
         result *= x - j
     return result
-
-
-def falling_power_negative(x: float, n: int) -> float:
-    """Float-valued [x]^(-n) via the recursion [x]^(-n) = D[x]^(1-n)/(1-n), as a difference table:
-    [x]^(-1) at x, x + 1, (x + 1) + 1, ... reduced n - 1 times.  It takes the recursion's own float
-    steps, so it returns the same bits, in n^2/2 of them instead of 2^(n-1) calls."""
-    if n < 1:
-        raise DomainError("falling_power_negative needs n >= 1")
-    table = [reciprocal(p) for p in accumulate([x] + [1] * (n - 1))]
-    for m in range(2, n + 1):
-        table = [(b - a) / (1 - m) for a, b in zip(table, table[1:])]
-    return table[0]
 
 
 def binomial_exact(x: int, k: int) -> Fraction:

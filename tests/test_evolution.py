@@ -1,9 +1,14 @@
 import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_graph
 from discalc import complexes as cx, evolution as ev, forms as fm
 from discalc.numcore import DomainError
 
@@ -182,7 +187,7 @@ class TestWaveFlow:
         f0 = np.array([rng.random() for _ in range(n)])
         g0 = d @ np.array([rng.random() for _ in range(n)])
         t, h = 0.9, 1e-6
-        numeric = (ev.wave_flow(c, f0, g0, t + h) - ev.wave_flow(c, f0, g0, t - h)) / (2 * h)
+        numeric = (np.asarray(ev.wave_flow(c, f0, g0, t + h)) - np.asarray(ev.wave_flow(c, f0, g0, t - h))) / (2 * h)
         assert np.abs(numeric - ev.wave_velocity(c, f0, g0, t)).max() < 1e-5
 
     @pytest.mark.parametrize("flow, f_len, g_len", [
@@ -230,3 +235,239 @@ class TestFeynmanPathSum:
         big = fm.dirac(complex_of("icosahedron")).data
         with pytest.raises(DomainError):
             ev.feynman_path_sum(big, 0, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The matrix-free flows and solves against the dense sym_eigen route
+
+
+FLOAT_MAX = sys.float_info.max
+TIMES = st.floats(0, 5)
+
+
+@st.composite
+def clique_complexes(draw):
+    """Clique complexes of random graphs on at most 12 vertices, with any edge probability; the
+    empty graph included."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return cx.build_complex(random_graph(rng, draw(st.integers(0, 12)), draw(st.floats(0, 1))))
+
+
+@st.composite
+def vectors(draw, n: int):
+    """n floats, either all moderate or of magnitudes spread up to +-1e308."""
+    elements = draw(st.sampled_from([st.floats(-10, 10), st.floats(-1e308, 1e308)]))
+    return draw(st.lists(elements, min_size=n, max_size=n))
+
+
+def down(x: float, e: int) -> float:
+    """x 2^-e; inf past the float range."""
+    try:
+        return math.ldexp(x, -e)
+    except OverflowError:
+        return math.inf
+
+
+def at_scale(a, e: int) -> np.ndarray:
+    """The entries of a times 2^-e; a power of two rounds nothing."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    return np.ldexp(a.astype(float), -e)
+
+
+def scale_of(*vs) -> int:
+    """The e with max |v| in [2^(e-1), 2^e) over the vectors vs: the oracle works at the scale 2^-e,
+    where none of its products overflows."""
+    return math.frexp(max((abs(x) for v in vs for x in v), default=0.0))[1]
+
+
+def outcome(call):
+    try:
+        return call(), None
+    except DomainError as exc:
+        return None, exc
+
+
+def assert_dense_answer(result, dense, e: int, bound: float):
+    """result, an (answer, DomainError) outcome of the library, against the dense route's answer
+    2^e dense: within the bound at the scale 2^-e, or a DomainError when that answer leaves the
+    float range."""
+    got, exc = result
+    peak = max(np.abs(np.real(dense)).max(initial=0.0), np.abs(np.imag(dense)).max(initial=0.0))
+    if exc is not None:
+        assert "float range" in str(exc) and peak >= down(FLOAT_MAX, e) - bound, exc
+        return
+    assert peak <= down(FLOAT_MAX, e) + bound
+    assert np.abs(at_scale(got, e) - dense).max(initial=0.0) <= bound
+
+
+def bound_at_scale(e: int, *units) -> float:
+    """1e-11 (1 + ||v||_inf), at the scale 2^-e of the inputs v."""
+    return 1e-11 * (down(1.0, e) + max((np.abs(u).max(initial=0.0) for u in units), default=0.0))
+
+
+def pinv_spectrum(dec) -> np.ndarray:
+    return np.where(dec.kernel, 0.0, 1.0 / np.where(dec.kernel, 1.0, dec.eigenvalues))
+
+
+class TestDenseOracle:
+    """Every flow and solve, bounded by 1e-11 (1 + ||v||_inf) against the dense sym_eigen route."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=clique_complexes(), data=st.data())
+    def test_heat_every_degree(self, c, data):
+        k = data.draw(st.integers(0, c.top_dim))
+        v, t = data.draw(vectors(c.count(k))), data.draw(TIMES)
+        dec = ev.sym_eigen(fm.laplacian_block(c, k))
+        e = scale_of(v)
+        u = at_scale(v, e)
+        result = outcome(lambda: ev.heat_flow(c, k, fm.Form(c, k, v), t).values)
+        assert_dense_answer(result, dec.apply(np.exp(-t * dec.eigenvalues), u), e, bound_at_scale(e, u))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(c=clique_complexes(), data=st.data())
+    def test_schrodinger(self, c, data):
+        v, t = data.draw(vectors(fm.total_dim(c))), data.draw(TIMES)
+        dec = ev.sym_eigen(fm.dirac(c))
+        e = scale_of(v)
+        u = at_scale(v, e)
+        result = outcome(lambda: ev.schrodinger_flow(c, v, t))
+        assert_dense_answer(result, dec.apply(np.exp(1j * t * dec.eigenvalues), u), e, bound_at_scale(e, u))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(c=clique_complexes(), data=st.data())
+    def test_wave_and_velocity(self, c, data):
+        d = fm.dirac(c)
+        f, r, t = data.draw(vectors(d.shape[0])), data.draw(vectors(d.shape[0])), data.draw(TIMES)
+        g = [sum((a * Fraction(r[j]) for j, a in row.items()), Fraction(0)) for row in d.rows]  # D r: in im D
+        try:
+            gf = [float(x) for x in g]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                ev.wave_flow(c, f, g, t)
+            return
+        dec = ev.sym_eigen(d)
+        w = dec.eigenvalues
+        e = scale_of(f, gf)
+        fu, gu = at_scale(f, e), at_scale(gf, e)
+        bound = bound_at_scale(e, fu, gu)
+        # the harmonic part rounding leaves in g, and the wave's answer, at the scale 2^-e
+        hnorm = np.linalg.norm(dec.apply(dec.kernel, gu))
+        wave = dec.apply(np.cos(w * t), fu) + dec.apply(np.sin(w * t) * pinv_spectrum(dec), gu)
+        got, exc = outcome(lambda: ev.wave_flow(c, f, g, t))
+        tol = down(ev.WAVE_HARMONIC_TOL, e)
+        if exc is not None and "harmonic" in str(exc):
+            assert hnorm >= tol - bound
+        else:
+            assert hnorm <= tol + bound
+            assert_dense_answer((got, exc), wave, e, bound)
+        velocity = dec.apply(-w * np.sin(w * t), fu) + dec.apply(np.cos(w * t), gu)
+        assert_dense_answer(outcome(lambda: ev.wave_velocity(c, f, g, t)), velocity, e, bound)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=clique_complexes(), data=st.data())
+    def test_poisson_maxwell(self, c, data):
+        if c.top_dim < 1:
+            with pytest.raises(DomainError):
+                ev.poisson_maxwell(c, fm.Form(c, 1, []))
+            return
+        # j = d1* B plus a multiple of a harmonic 1-form: divergence-free
+        dec = ev.sym_eigen(fm.laplacian_block(c, 1))
+        B, w = data.draw(vectors(c.count(2))), data.draw(vectors(c.count(1)))
+        harmonic = data.draw(st.sampled_from([0.0, 1e-12, 1.0])) * dec.apply(dec.kernel, at_scale(w, scale_of(w)))
+        j = [Fraction(h) for h in harmonic.tolist()]
+        for row, b in zip(c.faces[2] if c.top_dim >= 2 else (), B):
+            for f, s in row.items():
+                j[f] += s * Fraction(b)
+        try:
+            jf = [float(x) for x in j]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                ev.poisson_maxwell(c, fm.Form(c, 1, j))
+            return
+        e = scale_of(jf)
+        ju = at_scale(jf, e)
+        bound, tol = bound_at_scale(e, ju), down(ev.POISSON_TOL, e)
+        d0, d1 = fm.exterior_derivative(c, 0).data, fm.exterior_derivative(c, 1).data
+        div = np.abs(d0.T @ ju).max(initial=0.0)
+        hnorm = np.linalg.norm(dec.apply(dec.kernel, ju))
+        try:
+            A, F = ev.poisson_maxwell(c, fm.Form(c, 1, j))
+        except ev.HarmonicComponentError as exc:
+            assert div <= tol + bound and hnorm >= tol - bound
+            assert math.isinf(exc.norm) and hnorm >= down(FLOAT_MAX, e) - bound or abs(down(exc.norm, e) - hnorm) <= bound
+            return
+        except DomainError as exc:  # Kirchhoff
+            assert "Kirchhoff" in str(exc) and div >= tol - bound, exc
+            return
+        assert div <= tol + bound and hnorm <= tol + bound
+        a = dec.apply(pinv_spectrum(dec), ju)
+        assert np.abs(at_scale(A.values, e) - a).max(initial=0.0) <= bound
+        assert np.abs(at_scale(F.values, e) - d1 @ a).max(initial=0.0) <= bound
+
+    @pytest.mark.parametrize("scale", [1, 10 ** 4, 10 ** 8])
+    def test_large_exact_current_has_no_harmonic_part(self, scale):
+        # j = d1* B exactly, on a disk (no harmonic 1-forms): the rounding of the solve is no
+        # harmonic part, however large the current
+        c = complex_of("hexpatch:5")
+        rng = random.Random(10)
+        j = [0] * c.count(1)
+        for row in c.faces[2]:
+            b = scale * rng.randint(-3, 3)
+            for f, s in row.items():
+                j[f] += s * b
+        A, F = ev.poisson_maxwell(c, fm.Form(c, 1, j))
+        dec = ev.sym_eigen(fm.laplacian_block(c, 1))
+        dense = dec.apply(pinv_spectrum(dec), np.asarray(j, dtype=float))
+        assert np.abs(np.asarray(A.values) - dense).max() <= 1e-11 * (1 + max(map(abs, j)))
+
+    def test_large_exact_velocity_has_no_harmonic_part(self):
+        # g = D r exactly; ker D holds the constants, and the rounding of the solve is none of them
+        c = complex_of("hexpatch:5")
+        d = fm.dirac(c)
+        g = [sum(a * 10 ** 4 * (k % 7 - 3) for k, a in row.items()) for row in d.rows]
+        dec = ev.sym_eigen(d)
+        w = dec.eigenvalues
+        dense = dec.apply(np.sin(w) * pinv_spectrum(dec), np.asarray(g, dtype=float))
+        got = ev.wave_flow(c, [0.0] * d.shape[0], g, 1.0)
+        assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, g)))
+
+    @pytest.mark.parametrize("side", [0.99, 1.01], ids=["taylor", "dense"])
+    @pytest.mark.parametrize("flow", ["heat", "schrodinger"])
+    def test_each_side_of_the_crossover(self, flow, side):
+        c = complex_of("icosahedron")
+        op = fm.laplacian_block(c, 0) if flow == "heat" else fm.dirac(c)
+        norm = max(sum(map(abs, row.values())) for row in op.rows)
+        t = side * ev.DENSE_CROSSOVER / norm
+        rng = random.Random(9)
+        v = [rng.uniform(-5, 5) for _ in range(op.shape[0])]
+        dec = ev.sym_eigen(op)
+        if flow == "heat":
+            got, dense = ev.heat_flow(c, 0, fm.Form(c, 0, v), t).values, dec.apply(np.exp(-t * dec.eigenvalues), v)
+        else:
+            got, dense = ev.schrodinger_flow(c, v, t), dec.apply(np.exp(1j * t * dec.eigenvalues), v)
+        assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, v)))
+
+    def test_heat_past_the_crossover_loads_numpy(self):
+        # ||L_0||_1 = 4 on a cycle; the dense route's answer, bit for bit
+        code = """if True:
+            import sys
+            from discalc import complexes as cx, evolution as ev, forms as fm
+            c = cx.build_complex(cx.parse_generator("cycle:5"))
+            f0 = fm.Form(c, 0, [3, -1, 4, 1, -5])
+            ev.heat_flow(c, 0, f0, 0.99 * ev.DENSE_CROSSOVER / 4)
+            if "numpy" in sys.modules:
+                raise SystemExit("numpy loaded below the crossover")
+            t = 1.01 * ev.DENSE_CROSSOVER / 4
+            out = ev.heat_flow(c, 0, f0, t).values
+            if "numpy" not in sys.modules:
+                raise SystemExit("numpy not loaded past the crossover")
+            import numpy as np
+            dec = ev.sym_eigen(fm.laplacian_block(c, 0))
+            dense = dec.apply(np.exp(-t * dec.eigenvalues), np.asarray(f0.values, dtype=float))
+            if out != tuple(dense.tolist()):
+                raise SystemExit(f"{out} is not the dense route's {dense}")
+        """
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr

@@ -180,13 +180,6 @@ class TestTan:
             assert nc.tan_discrete(x) == nc.tan_discrete(x + 4)
 
 
-def negative_falling_power_recursion(x, n):
-    """[x]^(-n) = D[x]^(1-n)/(1-n) as written, two calls per level: 2^(n-1) calls in all."""
-    if n == 1:
-        return nc.reciprocal(x)
-    return (negative_falling_power_recursion(x + 1, n - 1) - negative_falling_power_recursion(x, n - 1)) / (1 - n)
-
-
 class TestLog:
     def test_log_one(self):
         assert nc.log_discrete(1) == 0
@@ -207,21 +200,6 @@ class TestLog:
             nc.log_discrete(0)
         with pytest.raises(nc.DomainError):
             nc.reciprocal(-1)
-
-    def test_negative_falling_power_recursion(self):
-        # [x]^(-1) = D log(x)
-        assert nc.falling_power_negative(3, 1) == pytest.approx(nc.reciprocal(3))
-        # [x]^(-2) = D [x]^(-1) / (-1)
-        expected = -(nc.reciprocal(4) - nc.reciprocal(3))
-        assert nc.falling_power_negative(3, 2) == pytest.approx(expected)
-
-    @given(st.one_of(st.integers(1, 100), st.floats(1e-6, 1e6)), st.integers(1, 14))
-    def test_negative_falling_power_matches_recursion(self, x, n):
-        assert nc.falling_power_negative(x, n) == negative_falling_power_recursion(x, n)
-
-    def test_negative_falling_power_large_n_is_fast(self):
-        # the recursion makes 2^(n-1) calls; the difference table n^2/2 steps
-        assert abs(nc.falling_power_negative(2.5, 400)) < 1
 
 
 class TestHarmonic:

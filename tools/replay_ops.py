@@ -10,7 +10,9 @@ inputs written to a temporary directory.  Each op runs once through
 and label of the op, then its exit code, the outcome of the op's own check
 (``ok``, ``known`` or ``failed``) and the sha256 of its stdout, in which the
 temporary directory's path reads ``<tmp>``.  Two checkouts that print the same
-lines gave the same stdout and exit code on every op.
+lines gave the same stdout and exit code on every op.  numpy runs with one BLAS
+thread unless ``OPENBLAS_NUM_THREADS`` is set, so two runs with different
+counts show whether any output depends on it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import sys
 import tempfile
 import traceback
 
-# one BLAS thread, as the benchmark runs the ops; set before anything loads numpy
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# one BLAS thread, as the benchmark runs the ops, unless the environment sets another count; set
+# before anything loads numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or SRC
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
