@@ -9,20 +9,18 @@ numbers, orientations and level curves read them as they are.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from .numcore import DomainError
+from .numcore import DomainError, record
 
 
 class NonOrientableError(DomainError):
     """Sign propagation hit a clash: the region carries no orientation."""
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Finite simple graph on vertices 0..vertex_count-1."""
 
@@ -64,6 +62,8 @@ class Graph:
         return Graph(len(order), frozenset(edges))
 
     def to_json(self) -> str:
+        import json
+
         payload = {"vertices": self.vertex_count, "edges": sorted(list(e) for e in self.edges)}
         if self.labels is not None:
             payload["labels"] = list(self.labels)
@@ -71,6 +71,8 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
+        import json
+
         payload = json.loads(text)
         labels = tuple(payload["labels"]) if "labels" in payload else None
         edges = frozenset(tuple(e) for e in payload["edges"])
@@ -80,7 +82,7 @@ class Graph:
         return Graph(payload["vertices"], edges, labels)
 
 
-@dataclass(frozen=True)
+@record
 class GraphComplex:
     """A graph together with its enumerated simplex sets G_k."""
 
@@ -305,7 +307,7 @@ def is_cycle_graph(g: Graph, min_len: int = 3) -> bool:
     return all(len(g.neighbors(v)) == 2 for v in range(g.vertex_count))
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     kind: str  # "curve" | "surface" | "solid" | "other"
     boundary: tuple  # boundary vertex indices
@@ -368,7 +370,7 @@ def classify(c: GraphComplex) -> Classification:
 # Orientations
 
 
-@dataclass(frozen=True)
+@record
 class Orientation:
     """Per-simplex signs (relative to ascending order) on a region, plus the
     induced orientation of the free boundary faces."""

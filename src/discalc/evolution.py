@@ -21,12 +21,11 @@ The Feynman path enumerator is the independent exact route used in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .complexes import GraphComplex
 from .forms import Form, OperatorMatrix, dirac, exterior_derivative, laplacian_block, total_dim
-from .numcore import DomainError
+from .numcore import DomainError, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,7 +54,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 MINRES_KERNEL_RESIDUAL = 1e-7
 
 
-@dataclass(frozen=True)
+@record
 class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal

@@ -9,7 +9,6 @@ deliberately rejected because the two are different functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numcore import (
@@ -19,6 +18,7 @@ from .numcore import (
     falling_power,
     log_discrete,
     reciprocal,
+    record,
 )
 
 
@@ -48,55 +48,55 @@ MAX_DIRECT_BITS = 128 * MAX_RESULT_BITS
 # Tree nodes
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: object  # Fraction (exact path) or float
 
 
-@dataclass(frozen=True)
+@record
 class FallingPower:
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class PlainPower:
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class ExpBase:
     c: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Trig:
     kind: str  # "sin" or "cos"
     a: int
 
 
-@dataclass(frozen=True)
+@record
 class Log:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Reciprocal:
     """Derivative of log; float-valued."""
 
 
-@dataclass(frozen=True)
+@record
 class Shift:
     """f(x+1); produced by the product rule, printable but not parseable."""
 
     inner: object
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
     terms: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Product:
     factors: tuple
 

@@ -22,19 +22,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
 from typing import TYPE_CHECKING
 
 from .complexes import GraphComplex, Orientation, orient_region
-from .numcore import DomainError
+from .numcore import DomainError, record
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@record
 class OperatorMatrix:
     """Sparse integer matrix: ``rows[r]`` maps the column of each nonzero entry of row r to it.
     Rows may be shared with the face table, so none may change one."""
@@ -60,7 +59,7 @@ class OperatorMatrix:
         return OperatorMatrix(self.shape[::-1], tuple(rows))
 
 
-@dataclass(frozen=True)
+@record
 class Form:
     """Value tuple indexed by the k-simplices in reference orientation."""
 

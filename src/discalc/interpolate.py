@@ -6,14 +6,13 @@ sampled function exactly on its window and extrapolates beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr
-from .numcore import DomainError, Sequence, binomial_exact, diff
+from .numcore import DomainError, Sequence, binomial_exact, diff, record
 
 
-@dataclass(frozen=True)
+@record
 class DifferenceTable:
     """coeffs[k] = D^k f(0), the k-th iterated forward difference at 0."""
 

@@ -7,8 +7,8 @@ arithmetic; floats appear only in the deformed (h != 1) variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class DomainError(ValueError):
@@ -27,7 +27,64 @@ class ParseError(ValueError):
 INFINITY = math.inf
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make ``cls`` a frozen record over its annotated fields, like a frozen standard-library data class.
+
+    Adds ``__init__`` (positional or keyword arguments, the class-level defaults, then
+    ``__post_init__``), ``__eq__`` and ``__hash__`` on the exact type and the field values, a
+    repr such as ``Trig(kind='sin', a=2)``, and a ``__setattr__`` and ``__delattr__`` that raise
+    AttributeError.  The methods are closures over the field names: defining a record costs no
+    ``exec``, and no command pays the start-up of the standard data-class module and of ``inspect``.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = cls.__dict__.get("__post_init__")
+    key = attrgetter(*names, "__class__")  # the field values and the exact type
+
+    def fill(fields, args, kwargs):
+        rest = names[len(args):]
+        if len(args) > len(names) or not kwargs.keys() <= set(rest):
+            raise TypeError(f"{cls.__qualname__}() takes the arguments ({', '.join(names)}), "
+                            f"got {len(args)} positional and {sorted(kwargs)} by keyword")
+        for name in rest:
+            if name in kwargs:
+                fields[name] = kwargs[name]
+            elif name in defaults:
+                fields[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__qualname__}() is missing the argument {name!r}")
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__dict__
+        fields.update(zip(names, args))
+        if kwargs or len(args) != len(names):
+            fill(fields, args, kwargs)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@record
 class GaussianInteger:
     """Gaussian integer a + bi with arbitrary-precision components."""
 
@@ -46,17 +103,18 @@ class GaussianInteger:
     def __pow__(self, n: int) -> "GaussianInteger":
         if n < 0:
             raise DomainError("negative power of a GaussianInteger is not integral")
-        result = GaussianInteger(1, 0)
-        base = self
+        # square and multiply on the components; a square (a + bi)^2 = (a + b)(a - b) + 2abi takes two products
+        re, im, a, b = 1, 0, self.re, self.im
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                re, im = re * a - im * b, re * b + im * a
             n >>= 1
-        return result
+            if n:
+                a, b = (a + b) * (a - b), 2 * a * b
+        return GaussianInteger(re, im)
 
 
-@dataclass(frozen=True)
+@record
 class Sequence:
     """Tabulated values of an integer-indexed function on a window.
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Graph, GraphComplex, build_complex, classify, connected_components, is_cycle_graph
-from .numcore import DomainError
+from .numcore import DomainError, record
 
 
 MAX_EXPECTATION_DEGREE = 10  # index_expectation sums 2^degree subsets per vertex; complete:11 takes about 1 s
@@ -131,7 +130,7 @@ def index(c: GraphComplex, f, x: int) -> int:
     return _indices(c, f)[x]
 
 
-@dataclass(frozen=True)
+@record
 class IndexReport:
     indices: tuple
     classes: tuple

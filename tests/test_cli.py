@@ -25,6 +25,16 @@ def run_cli(*args, cwd=None):
     )
 
 
+def imported_modules(module):
+    """(line, module names) of each import statement in ``discalc/<module>.py``, read without importing it."""
+    source = (Path(discalc.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""]
+
+
 class TestEval:
     def test_plain(self):
         r = run_cli("eval", "x^2", "--at", "7")
@@ -386,7 +396,8 @@ class TestFrontDoor:
     def test_scalar_modules_leave_numpy_unloaded(self):
         code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate, discalc.complexes, "
                 "discalc.topology, discalc.forms, discalc.evolution, discalc.cli\n"
-                "if 'numpy' in sys.modules: raise SystemExit('numpy imported by a plain-Python module')")
+                "for m in ('numpy', 'dataclasses'):\n"
+                "    if m in sys.modules: raise SystemExit(m + ' imported by a plain-Python module')")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
 
@@ -433,27 +444,28 @@ class TestFrontDoor:
         paths = {"s": tmp_path / "samples.csv", "f": tmp_path / "fn.csv", "w": tmp_path / "form.csv",
                  "h": tmp_path / "heat.csv", "j": tmp_path / "current.csv", "v": tmp_path / "velocity.csv",
                  "o": tmp_path / "out.svg"}
+        # json is imported only by Graph.to_json and Graph.from_json, which a --gen graph never calls
         code = ("import sys\nfrom discalc import cli\ncode = cli.main(sys.argv[1:])\n"
                 "if code: raise SystemExit(f'exit {code}')\n"
-                "if 'numpy' in sys.modules: raise SystemExit('numpy loaded by ' + sys.argv[1])")
+                "for m in ('numpy', 'dataclasses', 'json'):\n"
+                "    if m in sys.modules: raise SystemExit(m + ' loaded by ' + sys.argv[1])")
         r = subprocess.run([sys.executable, "-c", code, *(a.format(**paths) for a in args)],
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout
 
+    @pytest.mark.parametrize("module", sorted(p.stem for p in Path(discalc.__file__).parent.glob("*.py")))
+    def test_no_module_imports_dataclasses(self, module):
+        # records use numcore.record: dataclasses, with the inspect it loads, costs every command start-up time
+        for line, names in imported_modules(module):
+            assert "dataclasses" not in names, f"{module}.py line {line} imports dataclasses"
+
     @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__", "complexes", "topology"])
     def test_import_boundary_names_no_numpy(self, module):
         # read, not imported: cli.py reaches numpy only through the dense fallback of evolution
-        source = (Path(discalc.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
+        for line, names in imported_modules(module):
             if any(name.split(".")[0] == "numpy" for name in names):
-                pytest.fail(f"{module}.py line {node.lineno} imports numpy")
+                pytest.fail(f"{module}.py line {line} imports numpy")
 
     def test_every_import_is_used(self):
         here = Path(__file__).parent

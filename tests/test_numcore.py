@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from discalc import numcore as nc
+from discalc import complexes as cx, expr, numcore as nc
 
 from conftest import exp_trig_rational
 
@@ -132,11 +132,69 @@ class TestExpTrig:
             previous = modulus_sq
             assert abs(im) <= Fraction(2) ** (-(x - 2) // 2)
 
+    @given(st.integers(-9, 9), st.integers(0, 200))
+    def test_power_is_repeated_multiplication(self, a, x):
+        z = nc.GaussianInteger(1, 0)
+        for _ in range(x):
+            z = z * nc.GaussianInteger(1, a)
+        assert nc.exp_trig_exact(a, x) == z
+
+    def test_negative_power_raises(self):
+        with pytest.raises(nc.DomainError):
+            nc.GaussianInteger(1, 1) ** -1
+
     def test_negative_power_matches_inverse(self):
         re, im = exp_trig_rational(1, -3)
         w = nc.exp_trig_exact(1, 3)
         assert re * w.re - im * w.im == 1
         assert re * w.im + im * w.re == 0
+
+
+class TestRecord:
+    def test_equality_depends_on_the_type(self):
+        assert expr.FallingPower(2) != expr.PlainPower(2)
+        assert expr.Const(Fraction(1)) != expr.FallingPower(1)
+        assert expr.Log() != expr.Reciprocal()
+        assert expr.Trig("sin", 2) == expr.Trig("sin", 2) != expr.Trig("cos", 2)
+
+    def test_equal_records_hash_equal(self):
+        pairs = [(expr.Sum((expr.ONE, expr.FallingPower(3))), expr.Sum((expr.Const(Fraction(1)), expr.FallingPower(3)))),
+                 (nc.GaussianInteger(2, -1), nc.GaussianInteger(2, -1)), (expr.Log(), expr.Log()),
+                 (cx.Graph(3, frozenset({(1, 0)})), cx.Graph(3, frozenset({(0, 1)}), None))]
+        for a, b in pairs:
+            assert a == b and a is not b and hash(a) == hash(b)
+
+    def test_fields_are_frozen(self):
+        z = nc.GaussianInteger(1, 2)
+        with pytest.raises(AttributeError):
+            z.re = 5
+        with pytest.raises(AttributeError):
+            del z.im
+        with pytest.raises(AttributeError):
+            z.extra = 0
+        assert (z.re, z.im) == (1, 2)
+
+    def test_repr_is_in_the_dataclass_format(self):
+        assert repr(expr.Trig("sin", 2)) == "Trig(kind='sin', a=2)"
+        assert repr(expr.Log()) == "Log()"
+        assert repr(cx.Classification("curve", (0, 3))) == "Classification(kind='curve', boundary=(0, 3), flat=False)"
+
+    def test_keyword_and_default_arguments(self):
+        assert nc.GaussianInteger(im=3, re=1) == nc.GaussianInteger(1, im=3) == nc.GaussianInteger(1, 3)
+        assert cx.Graph(2, frozenset()).labels is None
+        assert cx.Classification("surface", (), flat=True).flat is True
+        assert cx.Classification(boundary=(), kind="solid").flat is False
+
+    @pytest.mark.parametrize("args, kwargs", [((1,), {}), ((1, 2, 3), {}), ((1,), {"re": 2}), ((1, 2), {"x": 0}), ((), {})])
+    def test_wrong_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            nc.GaussianInteger(*args, **kwargs)
+
+    def test_post_init_normalises(self):
+        s = nc.Sequence(0, [1, 2, 3])
+        assert s.values == (1, 2, 3) and s == nc.Sequence(0, (1, 2, 3))
+        with pytest.raises(nc.DomainError):
+            nc.Sequence(0, [])
 
 
 class TestExpH:
