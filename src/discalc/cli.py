@@ -214,13 +214,12 @@ def cmd_taylor(args, out):
     from . import interpolate as ip
 
     samples = _load_samples(args.samples)
-    # a nonzero window start is handled by shifting the variable
-    anchored = Sequence(0, samples.values)
-    table = ip.forward_differences(anchored)
     print_form = args.print_form or args.eval is None
     if print_form and samples.base != 0:  # checked before the first write: an error leaves stdout empty
         raise DomainError("--print needs samples anchored at x = 0")
     if args.eval is not None:
+        # a nonzero window start is handled by shifting the variable
+        table = ip.forward_differences(Sequence(0, samples.values))
         out.write(fmt(ip.newton_gregory_eval(table, args.eval - samples.base)) + "\n")
     if print_form:
         out.write(expr.to_string(ip.interpolate_fit(samples)) + "\n")
@@ -255,14 +254,12 @@ def cmd_graph(args, out):
             out.write(f"{v},{report.indices[v]},{report.classes[v]},{fmt(k)}\n")
         out.write(f"total,{report.total},,\n")
         return 0
-    if args.action == "classify":
-        cls = cx.classify(c)
-        boundary = " ".join(str(v) for v in cls.boundary)
-        out.write(f"kind: {cls.kind}\n")
-        out.write(f"boundary: {boundary}\n")
-        out.write(f"flat: {'yes' if cls.flat else 'no'}\n")
-        return 0
-    raise UsageError(f"unknown graph action {args.action!r}")
+    cls = cx.classify(c)  # classify, the last action argparse admits
+    boundary = " ".join(str(v) for v in cls.boundary)
+    out.write(f"kind: {cls.kind}\n")
+    out.write(f"boundary: {boundary}\n")
+    out.write(f"flat: {'yes' if cls.flat else 'no'}\n")
+    return 0
 
 
 def cmd_forms(args, out):
@@ -292,20 +289,17 @@ def cmd_forms(args, out):
         out.write(f"boundary_integral: {fmt(rhs)}\n")
         out.write(f"residual: {fmt(lhs - rhs)}\n")
         return 0
-    if args.action == "poisson":
-        from . import evolution as ev
+    from . import evolution as ev  # poisson, the last action argparse admits
 
-        if not args.current:
-            raise UsageError("poisson needs --current PATH")
-        j = _load_form(args.current, c, 1)
-        A, F = ev.poisson_maxwell(c, j)
-        out.write("degree,simplex,value\n")
-        for i, s in enumerate(c.simplices[1]):
-            out.write(f"1,{_simplex_name(s)},{fmt(float(A.values[i]))}\n")
-        for i, s in enumerate(c.simplices[2] if c.top_dim >= 2 else ()):
-            out.write(f"2,{_simplex_name(s)},{fmt(float(F.values[i]))}\n")
-        return 0
-    raise UsageError(f"unknown forms action {args.action!r}")
+    if not args.current:
+        raise UsageError("poisson needs --current PATH")
+    A, F = ev.poisson_maxwell(c, _load_form(args.current, c, 1))
+    out.write("degree,simplex,value\n")
+    for i, s in enumerate(c.simplices[1]):
+        out.write(f"1,{_simplex_name(s)},{fmt(float(A.values[i]))}\n")
+    for i, s in enumerate(c.simplices[2] if c.top_dim >= 2 else ()):
+        out.write(f"2,{_simplex_name(s)},{fmt(float(F.values[i]))}\n")
+    return 0
 
 
 def cmd_pde(args, out):
@@ -328,12 +322,10 @@ def cmd_pde(args, out):
     if args.action == "schrodinger":
         write_state(range(c.top_dim + 1), ev.schrodinger_flow(c, _load_state_vector(args.form, c), args.t))
         return 0
-    if args.action == "wave":
-        f0 = _load_state_vector(args.form, c)
-        g0 = _load_state_vector(args.velocity, c) if args.velocity else [0.0] * forms.total_dim(c)
-        write_state(range(c.top_dim + 1), ev.wave_flow(c, f0, g0, args.t))
-        return 0
-    raise UsageError(f"unknown pde action {args.action!r}")
+    f0 = _load_state_vector(args.form, c)  # wave, the last action argparse admits
+    g0 = _load_state_vector(args.velocity, c) if args.velocity else [0.0] * forms.total_dim(c)
+    write_state(range(c.top_dim + 1), ev.wave_flow(c, f0, g0, args.t))
+    return 0
 
 
 # ---------------------------------------------------------------------------

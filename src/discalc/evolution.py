@@ -9,7 +9,10 @@ D is real symmetric, so the wave and its velocity are real parts of the same
 action: cos(Dt) f + sin(Dt) D+ g = Re e^(itD)(f - i D+ g) and
 -D sin(Dt) f + cos(Dt) g = Re e^(itD)(g + i D f).  D+ g and the Poisson
 solve L_1+ j are MINRES solves (Paige & Saunders), which also give the norm of
-the harmonic part of the source, the part no solve reaches.
+the harmonic part of the source, the part no solve reaches.  Each public entry
+scales its input by a power of two once (``_unit``) and decides there: a
+divergence, gauge residual or harmonic norm is rounding when it is at most
+``SOURCE_TOL`` times max |source|, so no decision depends on the input's size.
 
 The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
 taken from one dense eigendecomposition (``sym_eigen``) instead; only that
@@ -36,8 +39,8 @@ RECONSTRUCT_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10
 # eigenvalues within this fraction of max(|w|, 1) count as zero
 KERNEL_RELATIVE_CUTOFF = 1e-9
-WAVE_HARMONIC_TOL = 1e-9
-POISSON_TOL = 1e-10
+# exact sources on the size ladder and random clique complexes left at most 1.6e-15 of max |source|
+SOURCE_TOL = 1e-10
 
 # t ||A||_1 up to which the Taylor action costs less than one dense eigendecomposition, numpy import
 # included, on every rung of the size ladder (hexpatch:2..12, complete:4..10, icosahedron, annulus,
@@ -158,23 +161,13 @@ def _ldexp(v: list, e: int) -> list:
         raise DomainError("the result leaves the float range") from None
 
 
-def _rescaled_norm(x: float, e: int) -> float:
-    """x * 2^e for a norm x of a vector scaled by _unit; inf past the float range."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
-
-
-def _exp_action(op: OperatorMatrix, alpha, v: list) -> list:
-    """e^(alpha A) v for the symmetric operator A, a real or complex alpha and a vector v."""
-    u, e = _unit(v)
+def _exp_action(op: OperatorMatrix, alpha, u: list) -> list:
+    """e^(alpha A) u for the symmetric operator A, a real or complex alpha and a vector u of
+    moderate size, such as one scaled by _unit."""
     cost = abs(alpha) * _norm1(op)
     if cost <= DENSE_CROSSOVER:
-        u = _taylor_action(_pairs(op), alpha, cost, u)
-    else:  # also a cost past the float range, or nan
-        u = _dense_exp_action(op, alpha, u)
-    return _ldexp(u, e)
+        return _taylor_action(_pairs(op), alpha, cost, u)
+    return _dense_exp_action(op, alpha, u)  # also a cost past the float range, or nan
 
 
 def _taylor_action(pairs, alpha, cost: float, u: list) -> list:
@@ -214,9 +207,10 @@ def _dense_exp_action(op: OperatorMatrix, alpha, u: list) -> list:
     return dec.apply(spectrum, np.asarray(u)).tolist()
 
 
-def _minres(op: OperatorMatrix, b: list) -> tuple:
-    """(A+ b, ||h||) for the symmetric, possibly singular system A x = b, where h is the part of b
-    in ker A, which no x reaches; by MINRES (Paige & Saunders, SIAM J. Numer. Anal. 1975).
+def _minres(op: OperatorMatrix, b: list, name: str) -> list:
+    """A+ b for the symmetric, possibly singular system A x = b, by MINRES (Paige & Saunders, SIAM
+    J. Numer. Anal. 1975); HarmonicComponentError when the part h of b in ker A, which no x
+    reaches, is more than rounding.
 
     The residual r of a first solve is h plus the solve's rounding error, which lies in the range
     of A, so h = r - A+ A r.  b - h is in the range of A, and the MINRES iterates for it from
@@ -225,7 +219,10 @@ def _minres(op: OperatorMatrix, b: list) -> tuple:
     pairs, anorm = _pairs(op), _norm1(op)
     r = [a - c for a, c in zip(b, _matvec(pairs, _minres_run(pairs, anorm, b)))]
     h = [a - c for a, c in zip(r, _minres_run(pairs, anorm, _matvec(pairs, r)))]
-    return _minres_run(pairs, anorm, [a - c for a, c in zip(b, h)]), math.sqrt(_dot(h, h))
+    hnorm, peak = math.sqrt(_dot(h, h)), _max_abs(b)
+    if hnorm > SOURCE_TOL * peak:
+        raise HarmonicComponentError(f"{name} has a harmonic component", hnorm / peak)
+    return _minres_run(pairs, anorm, [a - c for a, c in zip(b, h)])
 
 
 def _minres_run(pairs, anorm: float, b: list) -> list:
@@ -287,26 +284,25 @@ def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
         raise DomainError("heat flow needs t >= 0")
     if f0.degree != k:
         raise DomainError("form degree mismatch")
-    return Form(c, k, _exp_action(laplacian_block(c, k), -float(t), [float(x) for x in f0.values]))
+    u, e = _unit([float(x) for x in f0.values])
+    return Form(c, k, _ldexp(_exp_action(laplacian_block(c, k), -float(t), u), e))
 
 
 def schrodinger_flow(c: GraphComplex, f0, t: float) -> list:
     """e^(itD) f0 on the full form space; unitary."""
-    return _exp_action(dirac(c), complex(0.0, t), _state(c, f0, complex))
+    u, e = _unit(_state(c, f0, complex))
+    return _ldexp(_exp_action(dirac(c), complex(0.0, t), u), e)
 
 
 def wave_flow(c: GraphComplex, f0, g0, t: float) -> list:
     """cos(Dt) f0 + sin(Dt) D+ g0 for initial value f0 and velocity g0.
 
-    g0 must have no harmonic (ker D) component; its harmonic norm is
-    reported otherwise.
+    g0 must have no harmonic (ker D) component beyond rounding;
+    HarmonicComponentError otherwise.
     """
     f, g, e = _wave_state(c, f0, g0)
     d = dirac(c)
-    h, hnorm = _minres(d, g)
-    hnorm = _rescaled_norm(hnorm, e)
-    if hnorm > WAVE_HARMONIC_TOL:
-        raise DomainError(f"initial velocity has harmonic component of norm {hnorm:.3e}")
+    h = _minres(d, g, "initial velocity")
     return _ldexp([z.real for z in _exp_action(d, complex(0.0, t), [complex(a, -b) for a, b in zip(f, h)])], e)
 
 
@@ -326,34 +322,36 @@ def _wave_state(c: GraphComplex, f0, g0) -> tuple:
 
 
 class HarmonicComponentError(DomainError):
-    """Right-hand side has a harmonic component the Laplacian cannot reach."""
+    """A source has a harmonic component no solve reaches; norm is its 2-norm over max |source|."""
 
     def __init__(self, message: str, norm: float):
-        super().__init__(f"{message} (harmonic norm {norm:.3e})")
+        super().__init__(f"{message} (harmonic norm {norm:.3e} times the largest source entry)")
         self.norm = norm
 
 
 def poisson_maxwell(c: GraphComplex, j: Form):
     """Solve L A = j for a divergence-free current, return (A, F = dA).
 
-    Checks Kirchhoff (d0* j = 0) and rejects currents with a harmonic
-    component; asserts the Coulomb gauge d0* A = 0 and dF = 0.
+    Rejects a divergence (Kirchhoff, d0* j = 0) or a harmonic component
+    beyond rounding.  The Coulomb gauge d0* A = L_0+ d0* j is the same check
+    after the solve: L_0+ can amplify a divergence the first one lets through.
+    Asserts dF = 0.
     """
     if j.degree != 1:
         raise DomainError("current must be a 1-form")
-    jv, e = _unit([float(x) for x in j.values])
+    ju, e = _unit([float(x) for x in j.values])
     d0t = _pairs(exterior_derivative(c, 0).transpose())
-    if _rescaled_norm(_max_abs(_matvec(d0t, jv)), e) > POISSON_TOL:
-        raise DomainError("Kirchhoff violated: current has nonzero divergence")
-    av, hnorm = _minres(laplacian_block(c, 1), jv)
-    hnorm = _rescaled_norm(hnorm, e)
-    if hnorm > POISSON_TOL:
-        raise HarmonicComponentError("current has a harmonic component", hnorm)
-    # the gauge and dF = 0 hold to 1e-8 relative to max |j|, whatever its size
-    if _max_abs(_matvec(d0t, av)) > 1e-8:
-        raise ArithmeticError("Coulomb gauge violated beyond tolerance")
+
+    def check_kirchhoff(v):
+        if _max_abs(_matvec(d0t, v)) > SOURCE_TOL * _max_abs(ju):
+            raise DomainError("Kirchhoff violated: current has nonzero divergence")
+
+    check_kirchhoff(ju)
+    av = _minres(laplacian_block(c, 1), ju, "current")
+    check_kirchhoff(av)
     fv = _matvec(_pairs(exterior_derivative(c, 1)), av)
-    if _max_abs(_matvec(_pairs(exterior_derivative(c, 2)), fv)) > 1e-8:
+    # d2 d1 = 0 exactly on the integer rows: dF is the rounding of F = dA
+    if _max_abs(_matvec(_pairs(exterior_derivative(c, 2)), fv)) > SOURCE_TOL * _max_abs(av):
         raise ArithmeticError("dF != 0 beyond tolerance")
     return Form(c, 1, _ldexp(av, e)), Form(c, 2, _ldexp(fv, e))
 

@@ -85,13 +85,6 @@ class Reciprocal:
 
 
 @record
-class Shift:
-    """f(x+1); produced by the product rule, printable but not parseable."""
-
-    inner: object
-
-
-@record
 class Sum:
     terms: tuple
 
@@ -376,8 +369,6 @@ def to_string(node) -> str:
         return "log(x)"
     if isinstance(node, Reciprocal):
         return "recip(x)"
-    if isinstance(node, Shift):
-        return f"shift({to_string(node.inner)})"
     if isinstance(node, Product):
         factors = list(node.factors)
         if isinstance(factors[0], Const):
@@ -445,8 +436,6 @@ def evaluate(node, x: int):
         return log_discrete(x)
     if isinstance(node, Reciprocal):
         return reciprocal(x)
-    if isinstance(node, Shift):
-        return evaluate(node.inner, x + 1)
     if isinstance(node, Sum):
         total = 0
         for t in node.terms:
@@ -516,18 +505,13 @@ def derivative(node):
         return scale(-node.a, Trig("sin", node.a))
     if isinstance(node, Log):
         return Reciprocal()
-    if isinstance(node, Shift):
-        return Shift(derivative(node.inner))
     if isinstance(node, Sum):
         return make_sum([derivative(t) for t in node.terms])
     if isinstance(node, Product):
-        f = node.factors[0]
-        g = make_product(list(node.factors[1:]))
-        # D(f g) = Df g + f(x+1) Dg
-        return make_sum([
-            make_product([derivative(f), g]),
-            make_product([Shift(f) if not isinstance(f, Const) else f, derivative(g)]),
-        ])
+        f, g = node.factors[0], make_product(list(node.factors[1:]))
+        df = derivative(f)
+        # D(f g) = Df g + f(x+1) Dg, and f(x+1) = f + Df
+        return make_sum([make_product([df, g]), make_product([make_sum([f, df]), derivative(g)])])
     raise TypeError(f"not an expression node: {node!r}")
 
 

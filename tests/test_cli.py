@@ -350,6 +350,10 @@ class TestFrontDoor:
         # unit circulation around the hole, through the six neighbours of the removed centre
         (("forms", "poisson", "--gen", "annulus:2", "--current", "{f}"),
          {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
+        # a divergence and a harmonic velocity count against the source's own size, however small
+        (("forms", "poisson", "--gen", "hexpatch:2", "--current", "{f}"), {"f": "1,0-1,1e-11\n"}, 2),
+        (("pde", "wave", "--gen", "hexpatch:2", "--t", "2", "--form", "{f}", "--velocity", "{g}"),
+         {"f": "0,0,0\n", "g": "".join(f"0,{v},1e-10\n" for v in range(19))}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
         (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
         (("taylor", "--samples", "{f}", "--eval", "3", "--print"), {"f": "1,1\n2,4\n3,9\n4,16\n"}, 2),
@@ -365,7 +369,8 @@ class TestFrontDoor:
             "sum-terms-past-direct-bits", "eval-power-past-result-bound",
             "eval-power-far-past-result-bound", "sum-exp-past-result-bound", "eval-exp-just-past-result-bound",
             "eval-literal-power-past-result-bound", "eval-no-closed-form",
-            "stokes-non-orientable", "poisson-harmonic-current", "fn-vertex-twice", "form-simplex-twice",
+            "stokes-non-orientable", "poisson-harmonic-current", "poisson-tiny-divergence",
+            "wave-tiny-harmonic-velocity", "fn-vertex-twice", "form-simplex-twice",
             "taylor-print-unanchored"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}

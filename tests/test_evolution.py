@@ -356,8 +356,8 @@ class TestDenseOracle:
         hnorm = np.linalg.norm(dec.apply(dec.kernel, gu))
         wave = dec.apply(np.cos(w * t), fu) + dec.apply(np.sin(w * t) * pinv_spectrum(dec), gu)
         got, exc = outcome(lambda: ev.wave_flow(c, f, g, t))
-        tol = down(ev.WAVE_HARMONIC_TOL, e)
-        if exc is not None and "harmonic" in str(exc):
+        tol = ev.SOURCE_TOL * np.abs(gu).max(initial=0.0)
+        if isinstance(exc, ev.HarmonicComponentError):
             assert hnorm >= tol - bound
         else:
             assert hnorm <= tol + bound
@@ -388,50 +388,55 @@ class TestDenseOracle:
             return
         e = scale_of(jf)
         ju = at_scale(jf, e)
-        bound, tol = bound_at_scale(e, ju), down(ev.POISSON_TOL, e)
+        peak = np.abs(ju).max(initial=0.0)
+        bound, tol = bound_at_scale(e, ju), ev.SOURCE_TOL * peak
         d0, d1 = fm.exterior_derivative(c, 0).data, fm.exterior_derivative(c, 1).data
-        div = np.abs(d0.T @ ju).max(initial=0.0)
+        a = dec.apply(pinv_spectrum(dec), ju)
+        div, gauge = np.abs(d0.T @ ju).max(initial=0.0), np.abs(d0.T @ a).max(initial=0.0)
         hnorm = np.linalg.norm(dec.apply(dec.kernel, ju))
         try:
             A, F = ev.poisson_maxwell(c, fm.Form(c, 1, j))
         except ev.HarmonicComponentError as exc:
             assert div <= tol + bound and hnorm >= tol - bound
-            assert math.isinf(exc.norm) and hnorm >= down(FLOAT_MAX, e) - bound or abs(down(exc.norm, e) - hnorm) <= bound
+            assert abs(exc.norm * peak - hnorm) <= bound  # the norm is relative to max |j|
             return
-        except DomainError as exc:  # Kirchhoff
-            assert "Kirchhoff" in str(exc) and div >= tol - bound, exc
+        except DomainError as exc:  # Kirchhoff, before the solve or in the gauge after it
+            assert "Kirchhoff" in str(exc) and max(div, gauge) >= tol - bound, exc
             return
-        assert div <= tol + bound and hnorm <= tol + bound
-        a = dec.apply(pinv_spectrum(dec), ju)
+        assert max(div, gauge) <= tol + bound and hnorm <= tol + bound
         assert np.abs(at_scale(A.values, e) - a).max(initial=0.0) <= bound
         assert np.abs(at_scale(F.values, e) - d1 @ a).max(initial=0.0) <= bound
 
-    @pytest.mark.parametrize("scale", [1, 10 ** 4, 10 ** 8])
+    @pytest.mark.parametrize("scale", [1, 10 ** 4, 10 ** 8, 10 ** 12])
     def test_large_exact_current_has_no_harmonic_part(self, scale):
-        # j = d1* B exactly, on a disk (no harmonic 1-forms): the rounding of the solve is no
-        # harmonic part, however large the current
-        c = complex_of("hexpatch:5")
-        rng = random.Random(10)
-        j = [0] * c.count(1)
-        for row in c.faces[2]:
-            b = scale * rng.randint(-3, 3)
-            for f, s in row.items():
-                j[f] += s * b
-        A, F = ev.poisson_maxwell(c, fm.Form(c, 1, j))
-        dec = ev.sym_eigen(fm.laplacian_block(c, 1))
-        dense = dec.apply(pinv_spectrum(dec), np.asarray(j, dtype=float))
-        assert np.abs(np.asarray(A.values) - dense).max() <= 1e-11 * (1 + max(map(abs, j)))
+        # j = d1* B exactly, on a disk (no harmonic 1-forms) and an annulus (one, orthogonal to j):
+        # the rounding of the input and the solve is no harmonic part, however large the current
+        for spec in ("hexpatch:5", "annulus:3"):
+            c = complex_of(spec)
+            rng = random.Random(10)
+            j = [0] * c.count(1)
+            for row in c.faces[2]:
+                b = scale * rng.randint(-3, 3)
+                for f, s in row.items():
+                    j[f] += s * b
+            A, F = ev.poisson_maxwell(c, fm.Form(c, 1, j))
+            dec = ev.sym_eigen(fm.laplacian_block(c, 1))
+            dense = dec.apply(pinv_spectrum(dec), np.asarray(j, dtype=float))
+            assert np.abs(np.asarray(A.values) - dense).max() <= 1e-11 * (1 + max(map(abs, j))), spec
 
     def test_large_exact_velocity_has_no_harmonic_part(self):
-        # g = D r exactly; ker D holds the constants, and the rounding of the solve is none of them
-        c = complex_of("hexpatch:5")
-        d = fm.dirac(c)
-        g = [sum(a * 10 ** 4 * (k % 7 - 3) for k, a in row.items()) for row in d.rows]
-        dec = ev.sym_eigen(d)
-        w = dec.eigenvalues
-        dense = dec.apply(np.sin(w) * pinv_spectrum(dec), np.asarray(g, dtype=float))
-        got = ev.wave_flow(c, [0.0] * d.shape[0], g, 1.0)
-        assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, g)))
+        # g = D r exactly; ker D holds the constants (and on the annulus a harmonic 1-form), and
+        # the rounding of the input and the solve is none of them
+        for spec in ("hexpatch:5", "annulus:3"):
+            c = complex_of(spec)
+            d = fm.dirac(c)
+            dec = ev.sym_eigen(d)
+            w = dec.eigenvalues
+            for scale in (10 ** 4, 10 ** 8):
+                g = [sum(a * scale * (k % 7 - 3) for k, a in row.items()) for row in d.rows]
+                dense = dec.apply(np.sin(w) * pinv_spectrum(dec), np.asarray(g, dtype=float))
+                got = ev.wave_flow(c, [0.0] * d.shape[0], g, 1.0)
+                assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, g))), (spec, scale)
 
     @pytest.mark.parametrize("side", [0.99, 1.01], ids=["taylor", "dense"])
     @pytest.mark.parametrize("flow", ["heat", "schrodinger"])
@@ -471,3 +476,106 @@ class TestDenseOracle:
         """
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
+
+
+# ---------------------------------------------------------------------------
+# One scale: every flow and solve decides and answers at the scale its input is moved to
+
+
+@st.composite
+def grid_vectors(draw, n: int):
+    """n multiples of 2^-16 in [-16, 16]: times 2^k, |k| <= 900, every entry is still an exact float."""
+    return [x / 2 ** 16 for x in draw(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=n, max_size=n))]
+
+
+def to_grid(v) -> list:
+    """v rounded to multiples of 2^-40, so that 2^-900 v is exact."""
+    return [round(x * 2 ** 40) / 2 ** 40 for x in v]
+
+
+def assert_equivariant(call, parts, k: int):
+    """call on the vectors parts and on 2^k times them: the same decision, and the answer at the
+    larger scale times 2^-|k| is the other answer bit for bit (it is rounded once, if at all)."""
+    a, exc_a = outcome(lambda: call(*parts))
+    b, exc_b = outcome(lambda: call(*[at_scale(p, -k).tolist() for p in parts]))
+    assert repr(exc_a) == repr(exc_b)
+    if exc_a is None:
+        small, large = (a, b) if k >= 0 else (b, a)
+        assert np.array_equal(at_scale(large, abs(k)), np.asarray(small))
+
+
+SCALES = st.integers(-900, 900)
+# random clique complexes seldom have a hole, so harmonic 1-forms come from these as well
+WITH_HOLES = st.one_of(clique_complexes(), st.sampled_from(["cycle:5", "annulus:2", "moebius"]).map(complex_of))
+
+
+class TestOneScale:
+    """v and 2^k v give the same decision and answers 2^k times each other."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(c=clique_complexes(), data=st.data())
+    def test_heat_every_degree(self, c, data):
+        deg = data.draw(st.integers(0, c.top_dim))
+        v, t, k = data.draw(grid_vectors(c.count(deg))), data.draw(TIMES), data.draw(SCALES)
+        assert_equivariant(lambda u: ev.heat_flow(c, deg, fm.Form(c, deg, u), t).values, [v], k)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(c=clique_complexes(), data=st.data())
+    def test_schrodinger(self, c, data):
+        v, t, k = data.draw(grid_vectors(fm.total_dim(c))), data.draw(TIMES), data.draw(SCALES)
+        assert_equivariant(lambda u: ev.schrodinger_flow(c, u, t), [v], k)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(c=WITH_HOLES, data=st.data())
+    def test_wave_and_velocity(self, c, data):
+        # the velocity D r is in range; any other has a harmonic part, the constants at least
+        d = fm.dirac(c)
+        f, r = data.draw(grid_vectors(d.shape[0])), data.draw(grid_vectors(d.shape[0]))
+        g = r if data.draw(st.booleans()) else [sum(a * r[j] for j, a in row.items()) for row in d.rows]
+        t, k = data.draw(TIMES), data.draw(SCALES)
+        assert_equivariant(lambda f, g: ev.wave_flow(c, f, g, t), [f, g], k)
+        assert_equivariant(lambda f, g: ev.wave_velocity(c, f, g, t), [f, g], k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=WITH_HOLES, data=st.data())
+    def test_poisson_maxwell(self, c, data):
+        if c.top_dim < 1:
+            return
+        # d1* B, in range, plus a harmonic 1-form or a gradient d0 phi, which has a divergence
+        B = data.draw(grid_vectors(c.count(2)))
+        j = [0.0] * c.count(1)
+        for row, b in zip(c.faces[2] if c.top_dim >= 2 else (), B):
+            for f, s in row.items():
+                j[f] += s * b
+        source = data.draw(st.sampled_from(["in range", "harmonic", "divergence"]))
+        if source == "harmonic":
+            dec = ev.sym_eigen(fm.laplacian_block(c, 1))
+            j = [a + b for a, b in zip(j, to_grid(dec.apply(dec.kernel, data.draw(grid_vectors(c.count(1))))))]
+        elif source == "divergence":
+            phi = data.draw(grid_vectors(c.count(0)))
+            j = [a + sum(s * phi[v] for v, s in row.items()) for a, row in zip(j, c.faces[1])]
+
+        def solve(u):
+            A, F = ev.poisson_maxwell(c, fm.Form(c, 1, u))
+            return A.values + F.values
+
+        assert_equivariant(solve, [j], data.draw(SCALES))
+
+    def test_amplified_divergence_is_a_kirchhoff_violation(self):
+        # the square of the path P_300, edges (i, i+1) and (i, i+2), has lambda_1(L_0) = 5.5e-4.  A
+        # divergence of 1e-11 max |j| along its eigenvector passes the check before the solve, and
+        # L_0+ amplifies it in the gauge d0* A = L_0+ d0* j to about 2e-8 max |j|
+        n = 300
+        c = cx.build_complex(cx.Graph(n, frozenset([(i, i + 1) for i in range(n - 1)]
+                                                  + [(i, i + 2) for i in range(n - 2)])))
+        phi = ev.sym_eigen(fm.laplacian_block(c, 0)).eigenvectors[:, 1]
+        d0 = fm.exterior_derivative(c, 0).data.astype(float)
+        j = np.zeros(c.count(1))
+        for i, row in enumerate(c.faces[2]):
+            for f, s in row.items():
+                j[f] += s * (i % 5 - 2)
+        grad = d0 @ phi
+        j += 1e-11 * np.abs(j).max() / np.abs(d0.T @ grad).max() * grad
+        assert np.abs(d0.T @ j).max() < ev.SOURCE_TOL * np.abs(j).max()
+        with pytest.raises(DomainError, match="Kirchhoff"):
+            ev.poisson_maxwell(c, fm.Form(c, 1, j.tolist()))

@@ -283,6 +283,12 @@ class TestRoundTrip:
         for x in range(0, 21):
             assert expr.evaluate(dF, x) == expr.evaluate(tree, x)
 
+    @given(st.lists(_atoms, min_size=2, max_size=4), st.integers(-30, 30))
+    def test_product_rule_is_the_forward_difference_exactly(self, factors, x):
+        # D(f g) = Df g + (f + Df) Dg on products of exact basis factors
+        p = make_product(factors)
+        assert expr.evaluate(expr.derivative(p), x) == expr.evaluate(p, x + 1) - expr.evaluate(p, x)
+
     @given(_trees, st.integers(-30, 30), st.integers(0, 30))
     def test_definite_sum_is_the_brute_force_sum(self, tree, lo, width):
         brute = sum(expr.evaluate(tree, k) for k in range(lo, lo + width))
