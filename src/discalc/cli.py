@@ -9,14 +9,14 @@ against their classical counterparts.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import math
 import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .numcore import DomainError, ParseError, Sequence, exp_h, exp_h_complex, log_discrete, sin_h
+from .numcore import DomainError, ParseError, Sequence
 
 # Each subcommand imports the library modules it uses, and none loads numpy but a `pde` flow past
 # evolution.DENSE_CROSSOVER; the annotations name two of the modules without importing them.
@@ -75,15 +75,21 @@ def _parsed(kind, text, where: str):
 
 
 def _csv_rows(path: str, header: str, width: int):
-    """The data rows of a CSV file: blank, '#' comment and header rows are skipped."""
+    """The data rows of a CSV file: blank, '#' comment and header rows are skipped; a malformed file
+    (a field past csv.field_size_limit(), say) is a UsageError."""
+    import csv
+
     with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            first = row[0].strip() if row else ""
-            if first.startswith("#") or first == header or not "".join(row).strip():
-                continue
-            if len(row) < width:
-                raise UsageError(f"{path}: row {','.join(row)!r} needs {width} columns")
-            yield row
+        try:
+            for row in csv.reader(fh):
+                first = row[0].strip() if row else ""
+                if first.startswith("#") or first == header or not "".join(row).strip():
+                    continue
+                if len(row) < width:
+                    raise UsageError(f"{path}: row {','.join(row)!r} needs {width} columns")
+                yield row
+        except csv.Error as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _load_graph(args) -> cx.Graph:
@@ -328,74 +334,19 @@ def cmd_pde(args, out):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Plotting (dependency-free SVG)
-
-_SVG_W, _SVG_H = 800, 500
-_MARGIN = 40
-
-
-def _polyline(points, color):
-    coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in points)
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
-
-
-def _plot_functions(fn: str, a: float, h: float):
-    """Return (discrete, classical) callables for the named function."""
-    if fn == "sin":
-        return (lambda x: sin_h(a, h, x), lambda x: math.sin(a * x))
-    if fn == "cos":
-        return (lambda x: exp_h_complex(a, h, x).real, lambda x: math.cos(a * x))
-    if fn == "exp":
-        return (lambda x: exp_h(a, h, x), lambda x: math.exp(a * x))
-    if fn == "log":
-        return (lambda x: log_discrete(x), lambda x: math.log(x))
-    if fn.startswith("pow:"):
-        from . import expr
-
-        n = _parsed(int, fn.split(":", 1)[1], "--fn pow:N")
-        if not 0 <= n <= expr.MAX_POWER:
-            raise DomainError(f"pow:N needs 0 <= N <= {expr.MAX_POWER}")
-        return (lambda x: math.prod((x - j * h for j in range(n)), start=1.0), lambda x: x ** n)
-    raise UsageError(f"unknown plot function {fn!r}")
-
-
 def cmd_plot(args, out):
+    from . import plot
+
     lo_text, _, hi_text = args.range.partition(":")
     lo, hi = _parsed(_finite, lo_text, "--range LO:HI"), _parsed(_finite, hi_text, "--range LO:HI")
-    steps = 400
-    if not 0 < (hi - lo) * steps < math.inf:  # every sample point stays finite
+    if not 0 < (hi - lo) * plot.STEPS < math.inf:  # every sample point stays finite
         raise UsageError("range needs LO < HI, at most 4e305 apart")
-    discrete, classical = _plot_functions(args.fn, args.a, args.h)
-    xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-    if args.fn == "log":
-        xs = [x for x in xs if x > 0]
-        if not xs:
-            raise DomainError("log needs a positive range")
-    series = [[(x, discrete(x)) for x in xs], [(x, classical(x)) for x in xs]]
-    ys = [y for points in series for _, y in points]
-    ymin, ymax = min(ys), max(ys)
-    if not (all(map(math.isfinite, ys)) and math.isfinite(ymax - ymin)):
-        raise DomainError("the plotted values leave the float range")
-    if ymax == ymin:
-        ymax = ymin + 1.0
-
-    def to_px(x, y):
-        px = _MARGIN + (x - lo) / (hi - lo) * (_SVG_W - 2 * _MARGIN)
-        py = _SVG_H - _MARGIN - (y - ymin) / (ymax - ymin) * (_SVG_H - 2 * _MARGIN)
-        return px, py
-
-    body = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_SVG_H - _MARGIN}" x2="{_SVG_W - _MARGIN}" y2="{_SVG_H - _MARGIN}" stroke="black"/>',
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_SVG_H - _MARGIN}" stroke="black"/>',
-        _polyline([to_px(x, y) for x, y in series[0]], "steelblue"),
-        _polyline([to_px(x, y) for x, y in series[1]], "firebrick"),
-        "</svg>",
-    ]
+    curves = _parsed(lambda fn: plot.curves(fn, args.a, args.h), args.fn, "--fn pow:N")
+    if curves is None:
+        raise UsageError(f"unknown plot function {args.fn!r}")
+    text = plot.svg(*curves, lo, hi, positive=args.fn == "log")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(body) + "\n")
+        fh.write(text)
     out.write(f"wrote {args.out}\n")
     return 0
 
@@ -404,55 +355,70 @@ def cmd_plot(args, out):
 # Argument wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> (help, arguments), each argument a pair (names, add_argument keywords), in help order
+_SUBCOMMANDS = {
+    "eval": ("evaluate an expression at an integer point", [
+        (["expression"], {}),
+        (["--at"], {"type": int, "required": True}),
+        (["--op"], {"choices": ["none", "diff", "sum"], "default": "none"}),
+    ]),
+    "sum": ("definite sum with inclusive bounds", [
+        (["expression"], {}),
+        (["--from"], {"dest": "lo", "type": int, "required": True}),
+        (["--to"], {"dest": "hi", "type": int, "required": True}),
+    ]),
+    "taylor": ("Newton-Gregory interpolation of samples", [
+        (["--samples"], {"required": True}),
+        (["--eval"], {"type": int, "default": None}),
+        (["--print"], {"dest": "print_form", "action": "store_true"}),
+    ]),
+    "graph": ("graph and topology reports", [
+        (["action"], {"choices": ["info", "betti", "curvature", "indices", "classify"]}),
+        (["--gen"], {"default": None}),
+        (["--file"], {"default": None}),
+        (["--fn"], {"default": None}),
+    ]),
+    "forms": ("operator matrices and integral theorems", [
+        (["action"], {"choices": ["dirac", "laplacian", "stokes", "poisson"]}),
+        (["--gen"], {"default": None}),
+        (["--file"], {"default": None}),
+        (["--form"], {"default": None}),
+        (["--current"], {"default": None}),
+        (["--degree"], {"type": int, "default": None}),
+    ]),
+    "pde": ("heat, wave and Schroedinger flows", [
+        (["action"], {"choices": ["heat", "wave", "schrodinger"]}),
+        (["--t"], {"type": _finite, "required": True}),
+        (["--form"], {"required": True}),
+        (["--velocity"], {"default": None}),
+        (["--gen"], {"default": None}),
+        (["--file"], {"default": None}),
+        (["--degree"], {"type": int, "default": None}),
+    ]),
+    "plot": ("SVG comparison of deformed vs classical", [
+        (["--fn"], {"required": True}),
+        (["--a"], {"type": _finite, "default": 1.0}),
+        (["--h"], {"type": _finite, "default": 1.0}),
+        (["--range"], {"required": True}),
+        (["--out"], {"required": True}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the subparser of ``command`` when that names a subcommand, else with all of them.
+
+    An argv whose first word is a subcommand parses the same either way: everything after that word
+    goes to its subparser.  Any other argv (none, ``-h``, an unknown command) needs every subparser,
+    for the command list in the help and in the error."""
     parser = _Parser(prog="discalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an expression at an integer point")
-    p.add_argument("expression")
-    p.add_argument("--at", type=int, required=True)
-    p.add_argument("--op", choices=["none", "diff", "sum"], default="none")
-
-    p = sub.add_parser("sum", help="definite sum with inclusive bounds")
-    p.add_argument("expression")
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
-
-    p = sub.add_parser("taylor", help="Newton-Gregory interpolation of samples")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--eval", type=int, default=None)
-    p.add_argument("--print", dest="print_form", action="store_true")
-
-    p = sub.add_parser("graph", help="graph and topology reports")
-    p.add_argument("action", choices=["info", "betti", "curvature", "indices", "classify"])
-    p.add_argument("--gen", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--fn", default=None)
-
-    p = sub.add_parser("forms", help="operator matrices and integral theorems")
-    p.add_argument("action", choices=["dirac", "laplacian", "stokes", "poisson"])
-    p.add_argument("--gen", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--form", default=None)
-    p.add_argument("--current", default=None)
-    p.add_argument("--degree", type=int, default=None)
-
-    p = sub.add_parser("pde", help="heat, wave and Schroedinger flows")
-    p.add_argument("action", choices=["heat", "wave", "schrodinger"])
-    p.add_argument("--t", type=_finite, required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--velocity", default=None)
-    p.add_argument("--gen", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--degree", type=int, default=None)
-
-    p = sub.add_parser("plot", help="SVG comparison of deformed vs classical")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--a", type=_finite, default=1.0)
-    p.add_argument("--h", type=_finite, default=1.0)
-    p.add_argument("--range", required=True)
-    p.add_argument("--out", required=True)
-
+    for name, (help_text, arguments) in _SUBCOMMANDS.items():
+        if command in _SUBCOMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
     return parser
 
 
@@ -468,8 +434,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    """Run one command; with no ``argv``, the command of ``sys.argv`` as the process entry.
+
+    The process entry freezes the garbage collector's objects once the command has run, so that
+    interpreter shutdown does not walk them again; a call with an ``argv``, from a test or a
+    replay that goes on running, leaves the collector as it is."""
+    if argv is not None:
+        return _run(list(argv))
+    try:
+        return _run(sys.argv[1:])
+    finally:
+        gc.freeze()
+
+
+def _run(argv: list) -> int:
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         code = _COMMANDS[args.command](args, sys.stdout)
@@ -488,7 +467,7 @@ def main(argv=None) -> int:
     except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

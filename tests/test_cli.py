@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -357,6 +358,8 @@ class TestFrontDoor:
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
         (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
         (("taylor", "--samples", "{f}", "--eval", "3", "--print"), {"f": "1,1\n2,4\n3,9\n4,16\n"}, 2),
+        # one field longer than csv.field_size_limit() (131072 by default): csv.Error, a usage error
+        (("taylor", "--samples", "{f}", "--eval", "3"), {"f": "0," + "1" * 200_000 + "\n"}, 1),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "file-bool-vertex-count",
             "file-bool-endpoint", "simplex-descending",
             "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
@@ -371,7 +374,7 @@ class TestFrontDoor:
             "eval-literal-power-past-result-bound", "eval-no-closed-form",
             "stokes-non-orientable", "poisson-harmonic-current", "poisson-tiny-divergence",
             "wave-tiny-harmonic-velocity", "fn-vertex-twice", "form-simplex-twice",
-            "taylor-print-unanchored"])
+            "taylor-print-unanchored", "samples-field-past-csv-limit"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -449,10 +452,16 @@ class TestFrontDoor:
         paths = {"s": tmp_path / "samples.csv", "f": tmp_path / "fn.csv", "w": tmp_path / "form.csv",
                  "h": tmp_path / "heat.csv", "j": tmp_path / "current.csv", "v": tmp_path / "velocity.csv",
                  "o": tmp_path / "out.svg"}
-        # json is imported only by Graph.to_json and Graph.from_json, which a --gen graph never calls
+        # json is imported only by Graph.to_json and Graph.from_json, which a --gen graph never calls; csv only
+        # by the reader of an input file, and discalc.plot only by plot
+        unloaded = ["numpy", "dataclasses", "json"]
+        if not any(a in ("{s}", "{f}", "{w}", "{h}", "{j}", "{v}") for a in args):
+            unloaded.append("csv")
+        if args[0] != "plot":
+            unloaded.append("discalc.plot")
         code = ("import sys\nfrom discalc import cli\ncode = cli.main(sys.argv[1:])\n"
                 "if code: raise SystemExit(f'exit {code}')\n"
-                "for m in ('numpy', 'dataclasses', 'json'):\n"
+                f"for m in {unloaded!r}:\n"
                 "    if m in sys.modules: raise SystemExit(m + ' loaded by ' + sys.argv[1])")
         r = subprocess.run([sys.executable, "-c", code, *(a.format(**paths) for a in args)],
                            capture_output=True, text=True)
@@ -465,7 +474,8 @@ class TestFrontDoor:
         for line, names in imported_modules(module):
             assert "dataclasses" not in names, f"{module}.py line {line} imports dataclasses"
 
-    @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__", "complexes", "topology"])
+    @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__", "complexes", "topology",
+                                        "plot"])
     def test_import_boundary_names_no_numpy(self, module):
         # read, not imported: cli.py reaches numpy only through the dense fallback of evolution
         for line, names in imported_modules(module):
@@ -679,3 +689,77 @@ class TestFuzz:
     @given(case=cli_cases(commands=("eval", "sum")))
     def test_scalar_inputs_exit_0_1_or_2(self, case):
         assert run_case(case) in (0, 1, 2)
+
+
+class TestOneSubparser:
+    # main builds the subparser of the command it is given alone; argparse hands everything after the
+    # command's name to that subparser, so the other six can change no parse
+
+    @staticmethod
+    def parse(parser, argv):
+        try:
+            return parser.parse_args(argv)
+        except cli.UsageError as exc:
+            return f"usage error: {exc}"
+
+    @settings(max_examples=300, derandomize=True)
+    @given(case=cli_cases())
+    def test_named_subparser_parses_as_all_seven(self, case):
+        argv, files = case
+        argv = [a.format(dir="/nonexistent", **{name: f"/nonexistent/{name}" for name in files}) for a in argv]
+        assert self.parse(cli.build_parser(argv[0]), argv) == self.parse(cli.build_parser(), argv)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_subcommand_help_is_unchanged(self, command):
+        r = run_cli(command, "-h")
+        assert r.returncode == 0 and r.stdout.startswith(f"usage: discalc {command} "), r.stderr
+        texts = []
+        for parser in (cli.build_parser(command), cli.build_parser()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+                parser.parse_args([command, "-h"])
+            assert exit_.value.code == 0
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1] and texts[0].startswith(f"usage: discalc {command} ")
+
+    @pytest.mark.parametrize("argv, code, listing", [
+        ((), 1, "usage error: the following arguments are required: command\n"),
+        (("-h",), 0, "{eval,sum,taylor,graph,forms,pde,plot}"),
+        (("nosuch",), 1, "(choose from 'eval', 'sum', 'taylor', 'graph', 'forms', 'pde', 'plot')"),
+    ], ids=["none", "help", "unknown"])
+    def test_no_command_builds_every_subparser(self, argv, code, listing):
+        r = run_cli(*argv)
+        assert r.returncode == code and "Traceback" not in r.stderr
+        assert listing in r.stdout + r.stderr
+        # argparse prints no usage line for a missing command, but that parser too holds all seven
+        assert "{eval,sum,taylor,graph,forms,pde,plot}" in cli.build_parser(*argv).format_usage()
+
+
+class TestProcessExit:
+    def test_in_process_calls_freeze_nothing(self, tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["eval", "x^2", "--at", "3"]) == 0
+            assert cli.main(["graph", "betti", "--gen", "octahedron"]) == 0
+            assert cli.main(["plot", "--fn", "sin", "--range", "0:1", "--out", str(tmp_path / "p.svg")]) == 0
+            assert cli.main(["eval", "x^", "--at", "3"]) == 1
+            with pytest.raises(SystemExit):
+                cli.main(["eval", "-h"])
+        assert gc.get_freeze_count() == 0
+
+    def test_process_entry_freezes(self):
+        # what the console script and python -m discalc do: main() reads sys.argv
+        code = ("import gc, sys\nfrom discalc import cli\nsys.argv = ['discalc', 'eval', 'x^2', '--at', '3']\n"
+                "code = cli.main()\nprint(gc.get_freeze_count())\nsys.exit(code)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        result, count = r.stdout.split()
+        assert result == "9" and int(count) > 0
+
+    def test_plot_file_is_complete_after_exit(self, tmp_path):
+        argv = ["plot", "--fn", "cos", "--a", "2", "--h", "0.3", "--range=-3:7"]
+        r = run_cli(*argv, "--out", str(tmp_path / "process.svg"))
+        assert r.returncode == 0 and r.stdout == f"wrote {tmp_path / 'process.svg'}\n"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", str(tmp_path / "in-process.svg")]) == 0
+        text = (tmp_path / "process.svg").read_text(encoding="utf-8")
+        assert text.endswith("</svg>\n") and text == (tmp_path / "in-process.svg").read_text(encoding="utf-8")
