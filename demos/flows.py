@@ -9,7 +9,7 @@ sums over paths in the graph.
 
 import numpy as np
 
-from discalc import complexes as cx, evolution as ev, forms as fm
+from discalc import complexes as cx, evolution as ev, forms as fm, spectral as sp
 
 c = cx.build_complex(cx.generate("cycle", 5))
 
@@ -44,4 +44,4 @@ dk3 = fm.dirac(k3).data
 power = dk3 @ dk3 @ dk3
 print("\nD^3 entry (0 -> 0) on K_3, by matrix power: ", power[0, 0])
 print("D^3 entry (0 -> 0) on K_3, by path summation:",
-      ev.feynman_path_sum(dk3, 0, 0, 3))
+      sp.feynman_path_sum(dk3, 0, 0, 3))

@@ -10,7 +10,7 @@ symmetric matrix whose square is the form Laplacian.
 
 import numpy as np
 
-from discalc import complexes as cx, forms as fm
+from discalc import complexes as cx, forms as fm, vector as vc
 
 # The octahedron: 6 vertices, 12 edges, 8 triangles
 c = cx.build_complex(cx.generate("octahedron"))
@@ -36,4 +36,4 @@ print(fm.laplacian_block(cx.build_complex(cx.generate("cycle", 4)), 0).data)
 # A gradient field integrates to a potential; circulation is detected
 f = np.array([0, 3, 1, 4, 1, 5], dtype=object)
 F = fm.Form(c, 1, d0 @ f)
-print("\nrecovered potential (anchored at vertex 0):", list(fm.potential(c, F)))
+print("\nrecovered potential (anchored at vertex 0):", list(vc.potential(c, F)))

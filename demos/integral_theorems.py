@@ -9,7 +9,7 @@ divergence theorem.  Everything cancels exactly in integer arithmetic.
 
 import numpy as np
 
-from discalc import complexes as cx, forms as fm
+from discalc import complexes as cx, forms as fm, topology as tp, vector as vc
 
 # Green's theorem on the wheel W_6: spokes get value 1, rim edge i -> i+1
 # gets value i+1.  Curl summed over triangles = line integral around the rim.
@@ -23,8 +23,8 @@ for i in range(6):
 F = fm.Form(c, 1, values)
 
 region = list(c.simplices[2])
-orientation = cx.orient_region(c, 2, region)
-lhs = fm.integrate(fm.apply_d(F), region, orientation)
+orientation = vc.orient_region(c, 2, region)
+lhs = vc.integrate(vc.apply_d(F), region, orientation)
 rhs = sum(sign * F.values[c.index[1][f]] for f, sign in orientation.boundary_signs.items())
 print("sum of curls over triangles:", lhs)
 print("line integral around the rim:", rhs)
@@ -34,13 +34,13 @@ g = cx.generate("octahedron")
 apex = g.vertex_count
 ball = cx.Graph(apex + 1, frozenset(set(g.edges) | {(v, apex) for v in range(apex)}))
 bc = cx.build_complex(ball)
-print("\nball classification:", cx.classify(bc).kind)
+print("\nball classification:", tp.classify(bc).kind)
 G = fm.Form(bc, 2, np.arange(1, bc.count(2) + 1, dtype=object))
-print("Gauss residual over all 8 tetrahedra:", fm.stokes_residual(bc, bc.simplices[3], G))
+print("Gauss residual over all 8 tetrahedra:", vc.stokes_residual(bc, bc.simplices[3], G))
 
 # A Moebius band refuses to be oriented, so Stokes does not even start
 mo = cx.build_complex(cx.moebius_strip())
 try:
-    cx.orient_region(mo, 2, mo.simplices[2])
-except cx.NonOrientableError as exc:
+    vc.orient_region(mo, 2, mo.simplices[2])
+except vc.NonOrientableError as exc:
     print("\nMoebius band:", exc)

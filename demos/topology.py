@@ -48,7 +48,7 @@ print("boundary curvature total, hex annulus:",
 rng = random.Random(0)
 values = list(range(12))
 rng.shuffle(values)
-curve = cx.level_curve(ico, {v: values[v] for v in range(12)}, 5.5)
+curve = tp.level_curve(ico, {v: values[v] for v in range(12)}, 5.5)
 print("\nlevel curve on the icosahedron:", curve.vertex_count, "vertices,",
       len(curve.edges), "edges; all degree 2:",
       all(len(curve.neighbors(v)) == 2 for v in range(curve.vertex_count)))

@@ -13,16 +13,18 @@ import gc
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .numcore import DomainError, ParseError, Sequence
+from . import DomainError, ParseError
 
-# Each subcommand imports the library modules it uses, and none loads numpy but a `pde` flow past
-# evolution.DENSE_CROSSOVER; the annotations name two of the modules without importing them.
+# Each subcommand imports the library modules it runs, and a reader of exact input imports fractions:
+# a graph command loads neither numcore nor forms, and only a `pde` flow past
+# evolution.DENSE_CROSSOVER loads discalc.spectral and numpy.  The annotations name modules
+# without importing them.
 if TYPE_CHECKING:
     from . import complexes as cx
     from . import forms
+    from .numcore import Sequence
 
 
 class UsageError(Exception):
@@ -37,9 +39,7 @@ class _Parser(argparse.ArgumentParser):
 def fmt(value) -> str:
     """Deterministic scalar formatting: exact integers/rationals as such,
     floats with 12 significant digits."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return fmt(value.numerator)
+    if getattr(value, "denominator", 1) != 1:  # a rational p/q with q > 1; an integer prints as itself
         return f"{fmt(value.numerator)}/{fmt(value.denominator)}"
     if isinstance(value, float):
         return format(value, ".12g")
@@ -103,6 +103,14 @@ def _load_graph(args) -> cx.Graph:
     raise UsageError("need --gen NAME[:N] or --file PATH")
 
 
+def _rational(text: str):
+    """The exact rational that text spells (3, -2/3, 1e-11).  fractions is imported here, by the first
+    exact value a command reads, so a command that reads none never loads it."""
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 def _load_vertex_fn(path: str, n: int) -> list:
     values = [None] * n
     for row in _csv_rows(path, "vertex", 2):
@@ -111,7 +119,7 @@ def _load_vertex_fn(path: str, n: int) -> list:
             raise DomainError(f"vertex {v} out of range")
         if values[v] is not None:
             raise DomainError(f"vertex {v} given twice")
-        values[v] = _parsed(Fraction, row[1], path)
+        values[v] = _parsed(_rational, row[1], path)
     if any(v is None for v in values):
         raise DomainError("function file does not cover every vertex")
     return values
@@ -129,7 +137,7 @@ def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
     rows, seen = [], set()
     for row in _csv_rows(path, "degree", 3):
         d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
-        value = _parsed(Fraction if "/" in row[2] or "." not in row[2] else _finite, row[2], path)
+        value = _parsed(_rational if "/" in row[2] or "." not in row[2] else _finite, row[2], path)
         rows.append((d, c.positions(d, [simplex])[0], value))
         if simplex in seen:
             raise DomainError(f"simplex {_simplex_name(simplex)} given twice")
@@ -161,11 +169,13 @@ def _load_state_vector(path: str, c: cx.GraphComplex) -> list:
 
 
 def _load_samples(path: str) -> Sequence:
+    from .numcore import Sequence
+
     pairs = []
     for row in _csv_rows(path, "x", 2):
         text = row[1].strip()
-        value = _parsed(_finite if ("." in text or "e" in text or "E" in text) else Fraction, text, path)
-        if isinstance(value, Fraction) and value.denominator == 1:
+        value = _parsed(_finite if ("." in text or "e" in text or "E" in text) else _rational, text, path)
+        if not isinstance(value, float) and value.denominator == 1:
             value = value.numerator
         pairs.append((_parsed(int, row[0], path), value))
     pairs.sort()
@@ -218,6 +228,7 @@ def cmd_sum(args, out):
 def cmd_taylor(args, out):
     from . import expr
     from . import interpolate as ip
+    from .numcore import Sequence
 
     samples = _load_samples(args.samples)
     print_form = args.print_form or args.eval is None
@@ -250,7 +261,7 @@ def cmd_graph(args, out):
         curvatures = tp.curvature_vector(c)
         out.write("vertex,curvature\n")
         out.writelines(f"{v},{fmt(k)}\n" for v, k in enumerate(curvatures))
-        out.write(f"total,{fmt(sum(curvatures, Fraction(0)))}\n")
+        out.write(f"total,{fmt(sum(curvatures))}\n")
         return 0
     if args.action == "indices":
         f = _load_vertex_fn(args.fn, g.vertex_count) if args.fn else list(range(g.vertex_count))
@@ -260,7 +271,7 @@ def cmd_graph(args, out):
             out.write(f"{v},{report.indices[v]},{report.classes[v]},{fmt(k)}\n")
         out.write(f"total,{report.total},,\n")
         return 0
-    cls = cx.classify(c)  # classify, the last action argparse admits
+    cls = tp.classify(c)  # classify, the last action argparse admits
     boundary = " ".join(str(v) for v in cls.boundary)
     out.write(f"kind: {cls.kind}\n")
     out.write(f"boundary: {boundary}\n")
@@ -289,8 +300,10 @@ def cmd_forms(args, out):
         degree = args.degree if args.degree is not None else 1
         if not 0 <= degree < c.top_dim:
             raise DomainError(f"stokes needs a degree from 0 to {c.top_dim - 1}")
+        from . import vector
+
         F = _load_form(args.form, c, degree)
-        lhs, rhs = forms.stokes_sides(c, list(c.simplices[degree + 1]), F)
+        lhs, rhs = vector.stokes_sides(c, list(c.simplices[degree + 1]), F)
         out.write(f"surface_integral: {fmt(lhs)}\n")
         out.write(f"boundary_integral: {fmt(rhs)}\n")
         out.write(f"residual: {fmt(lhs - rhs)}\n")

@@ -1,23 +1,36 @@
-"""Finite simple graphs, their clique complexes and geometric classifiers.
+"""Finite simple graphs, their clique complexes and the graph generators.
 
 Simplices of dimension k are the complete subgraphs K_{k+1}, stored as
 ascending vertex tuples; the ascending order is the reference orientation.
 The face table ``GraphComplex.faces`` is the signed incidence, built once per
 complex in Python ints: its rows are the rows of each d_k, and operators, Betti
-numbers, orientations and level curves read them as they are.
+numbers, orientations and level curves read them as they are.  Every graph
+command runs this module; the classifiers live in ``discalc.topology`` and the
+orientations in ``discalc.vector``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from typing import Optional
 
-from .numcore import DomainError, record
+from . import DomainError, record
+
+# Most vertices of a graph.  A vertex costs about 460 bytes before any edge (its adjacency set and the
+# frozen copy; 10^6 isolated vertices took 464 MB).  hexpatch:90 (24 571 vertices) is the largest hexpatch
+# within the bound: graph info took 0.8 s and 86 MB, against 3.5 s and 305 MB for hexpatch:182 (99 919).
+MAX_VERTICES = 25_000
+# Most simplices build_complex enumerates, checked before each level is built.  graph info refuses
+# complete:30 in 0.55 s at 111 MB (2.3 s and 417 MB with a bound of 10^6) and complete:18 (262 143
+# simplices) in 0.65 s; complete:17 (131 071) takes 0.21 s.  The tests reach complete:12 (4095 simplices)
+# and the benchmark hexpatch:12 (2665).
+MAX_SIMPLICES = 250_000
 
 
-class NonOrientableError(DomainError):
-    """Sign propagation hit a clash: the region carries no orientation."""
+def _check_vertex_count(count: int):
+    """DomainError when count passes MAX_VERTICES."""
+    if count > MAX_VERTICES:
+        raise DomainError(f"{count} vertices; a graph is bounded to {MAX_VERTICES}")
 
 
 @record
@@ -31,6 +44,7 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise DomainError(f"vertex count {self.vertex_count} is negative")
+        _check_vertex_count(self.vertex_count)
         normalized = set()
         adj = [set() for _ in range(self.vertex_count)]
         for a, b in self.edges:
@@ -129,12 +143,18 @@ class GraphComplex:
 
 def build_complex(g: Graph) -> GraphComplex:
     """Enumerate all complete subgraphs by clique extension, in lexicographic order: each simplex
-    carries its common neighbours above its last vertex, and each of them, w, extends it."""
+    carries its common neighbours above its last vertex, and each of them, w, extends it.
+
+    The next level has one simplex per common neighbour, so its size is known before it is built:
+    DomainError when the count would pass MAX_SIMPLICES."""
     above = [frozenset(w for w in neighbours if w > v) for v, neighbours in enumerate(g.adjacency())]
     level = [((v,), above[v]) for v in range(g.vertex_count)]
-    simplices = []
+    simplices, total = [], len(level)
     while True:
         simplices.append(tuple(s for s, _ in level))
+        total += sum(len(common) for _, common in level)
+        if total > MAX_SIMPLICES:
+            raise DomainError(f"the clique complex has more than {MAX_SIMPLICES} simplices")
         level = [(s + (w,), common & above[w]) for s, common in level for w in sorted(common)]
         if not level:
             return GraphComplex(g, tuple(simplices))
@@ -170,6 +190,7 @@ def hex_patch(radius: int) -> Graph:
     """Flat triangular-lattice disc: all hex-lattice points within a radius."""
     if radius < 1:
         raise DomainError("hex_patch needs radius >= 1")
+    _check_vertex_count(3 * radius * (radius + 1) + 1)
     points = []
     for q in range(-radius, radius + 1):
         for r in range(-radius, radius + 1):
@@ -208,8 +229,10 @@ def generate(name: str, n: Optional[int] = None) -> Graph:
     """Standard graph families; fixed tables for the named polyhedra.
 
     ``linear`` follows the n+1-vertices convention; ``path`` takes an
-    explicit vertex count instead.
+    explicit vertex count instead.  A vertex count past MAX_VERTICES is refused before any edge is built.
     """
+    if n is not None and name in ("complete", "cycle", "wheel", "star", "linear", "path"):
+        _check_vertex_count(n)  # each of these has n or n + 1 vertices; hex_patch checks its own count
     if name == "complete":
         if n is None or n < 1:
             raise DomainError("complete needs n >= 1 vertices")
@@ -257,187 +280,3 @@ def parse_generator(spec: str) -> Graph:
         name, _, param = spec.partition(":")
         return generate(name, int(param))
     return generate(spec)
-
-
-# ---------------------------------------------------------------------------
-# Geometric classifiers
-
-
-def unit_sphere(c: GraphComplex, v: int) -> Graph:
-    """Induced subgraph on the neighbors of v, relabelled in increasing order."""
-    return c.graph.induced(c.graph.neighbors(v))
-
-
-def connected_components(g: Graph) -> list:
-    adj = g.adjacency()
-    seen = [False] * g.vertex_count
-    components = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        components.append(sorted(comp))
-    return components
-
-
-def is_path_graph(g: Graph) -> bool:
-    """A single path P_m with m >= 2 vertices (a chain of 1-simplices)."""
-    if g.vertex_count < 2 or len(g.edges) != g.vertex_count - 1:
-        return False
-    if len(connected_components(g)) != 1:
-        return False
-    degrees = sorted(len(g.neighbors(v)) for v in range(g.vertex_count))
-    return degrees.count(1) == 2 and all(d <= 2 for d in degrees)
-
-
-def is_cycle_graph(g: Graph, min_len: int = 3) -> bool:
-    if g.vertex_count < min_len or len(g.edges) != g.vertex_count:
-        return False
-    if len(connected_components(g)) != 1:
-        return False
-    return all(len(g.neighbors(v)) == 2 for v in range(g.vertex_count))
-
-
-@record
-class Classification:
-    kind: str  # "curve" | "surface" | "solid" | "other"
-    boundary: tuple  # boundary vertex indices
-    flat: bool = False
-
-
-def classify(c: GraphComplex) -> Classification:
-    """Curve / surface / solid classification by unit-sphere shape."""
-    g = c.graph
-    if g.vertex_count == 0:
-        return Classification("other", ())
-    sphere_cache = [unit_sphere(c, v) for v in range(g.vertex_count)]
-
-    def all_curve():
-        boundary = []
-        for v, s in enumerate(sphere_cache):
-            if len(s.edges) != 0 or s.vertex_count not in (1, 2):
-                return None
-            if s.vertex_count == 1:
-                boundary.append(v)
-        return Classification("curve", tuple(boundary))
-
-    def all_surface():
-        boundary = []
-        interior_c6 = True
-        for v, s in enumerate(sphere_cache):
-            if is_path_graph(s):
-                boundary.append(v)
-            elif is_cycle_graph(s, min_len=4):
-                if s.vertex_count != 6:
-                    interior_c6 = False
-            else:
-                return None
-        return Classification("surface", tuple(boundary), flat=interior_c6)
-
-    def all_solid():
-        boundary = []
-        for v, s in enumerate(sphere_cache):
-            sphere = build_complex(s)
-            sub = classify(sphere)
-            if sub.kind != "surface":
-                return None
-            chi = sum((-1) ** k * v for k, v in enumerate(sphere.counts()))
-            if sub.boundary and chi == 1:
-                boundary.append(v)  # sphere is a disc: boundary point
-            elif not sub.boundary and chi == 2:
-                pass  # sphere is a 2-sphere: interior point
-            else:
-                return None
-        return Classification("solid", tuple(boundary))
-
-    for attempt in (all_curve, all_surface, all_solid):
-        result = attempt()
-        if result is not None:
-            return result
-    return Classification("other", ())
-
-
-# ---------------------------------------------------------------------------
-# Orientations
-
-
-@record
-class Orientation:
-    """Per-simplex signs (relative to ascending order) on a region, plus the
-    induced orientation of the free boundary faces."""
-
-    degree: int
-    signs: dict  # simplex tuple -> +1/-1
-    boundary_signs: dict  # face tuple -> +1/-1
-
-
-def orient_region(c: GraphComplex, k: int, region) -> Orientation:
-    """Propagate consistent orientations over a connected set of k-simplices.
-
-    Adjacent simplices (sharing a (k-1)-face) must induce opposite
-    orientations on the shared face.  The first region simplex is seeded +1.
-    Signs travel over the signed rows of ``c.faces[k]``.
-    """
-    if k < 1:
-        raise DomainError("orientation needs degree >= 1")
-    rows = c.positions(k, region)
-    if not rows:
-        raise DomainError("empty region")
-    faces, face_rows = c.simplices[k - 1], c.faces[k]
-    incidences = {}  # face position -> [(row, incidence sign)] in region order
-    for r in rows:
-        for f, sign in face_rows[r].items():
-            incidences.setdefault(f, []).append((r, sign))
-
-    signs, stack = {rows[0]: 1}, [rows[0]]
-    while stack:
-        r = stack.pop()
-        for f, sign in face_rows[r].items():
-            for t, other in incidences[f]:
-                if t == r:
-                    continue
-                want = -signs[r] * sign * other
-                if t in signs:
-                    if signs[t] != want:
-                        raise NonOrientableError(f"orientation clash on face {faces[f]}")
-                else:
-                    signs[t] = want
-                    stack.append(t)
-    if len(signs) != len(rows):
-        raise DomainError("region is not connected")
-
-    boundary_signs = {faces[f]: signs[r] * sign for f, [(r, sign), *others] in incidences.items() if not others}
-    return Orientation(k, {c.simplices[k][r]: sign for r, sign in signs.items()}, boundary_signs)
-
-
-# ---------------------------------------------------------------------------
-# Level curves
-
-
-def level_curve(c: GraphComplex, f, cut) -> Graph:
-    """Graph of sign-change edges, linked when two such edges share a triangle.
-
-    A triangle's edges are its row of ``c.faces[2]``.  On a boundaryless
-    surface the result is a finite union of cycles.
-    """
-    g = c.graph
-    values = [f[v] for v in range(g.vertex_count)]
-    if len(set(values)) != len(values):
-        raise DomainError("level_curve needs an injective function")
-    if any(v == cut for v in values):
-        raise DomainError("cut collides with a function value")
-    edges = c.simplices[1] if c.top_dim >= 1 else ()
-    crossing = [r for r, (a, b) in enumerate(edges) if (values[a] - cut) * (values[b] - cut) < 0]
-    back = {r: i for i, r in enumerate(crossing)}
-    triangles = c.faces[2] if c.top_dim >= 2 else ()
-    new_edges = {e for row in triangles for e in combinations(sorted(back[r] for r in row if r in back), 2)}
-    return Graph(len(crossing), frozenset(new_edges), tuple("{}-{}".format(*edges[r]) for r in crossing))

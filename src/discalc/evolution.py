@@ -1,4 +1,4 @@
-"""Heat, Schroedinger and wave flows, the Poisson/Maxwell solve and a path-sum oracle.
+"""Heat, Schroedinger and wave flows and the Poisson/Maxwell solve.
 
 Every flow is the action of one matrix exponential on one vector, computed in
 plain Python floats and complexes from the sparse rows of an
@@ -15,30 +15,20 @@ divergence, gauge residual or harmonic norm is rounding when it is at most
 ``SOURCE_TOL`` times max |source|, so no decision depends on the input's size.
 
 The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
-taken from one dense eigendecomposition (``sym_eigen``) instead; only that
-route imports numpy.  It is also the route that answers very long times, such
-as heat at t = 1e15, and that reports a t * eigenvalue past the float range.
-The Feynman path enumerator is the independent exact route used in tests.
+taken from one dense eigendecomposition instead, in ``discalc.spectral``; only
+that route imports it, and numpy with it.  It is also the route that answers
+very long times, such as heat at t = 1e15, and that reports a t * eigenvalue
+past the float range.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
+from . import DomainError
 from .complexes import GraphComplex
 from .forms import Form, OperatorMatrix, dirac, exterior_derivative, laplacian_block, total_dim
-from .numcore import DomainError, record
 
-if TYPE_CHECKING:
-    import numpy as np
-
-
-SYMMETRY_TOL = 1e-12
-RECONSTRUCT_TOL = 1e-9
-ORTHONORMAL_TOL = 1e-10
-# eigenvalues within this fraction of max(|w|, 1) count as zero
-KERNEL_RELATIVE_CUTOFF = 1e-9
 # exact sources on the size ladder and random clique complexes left at most 1.6e-15 of max |source|
 SOURCE_TOL = 1e-10
 
@@ -55,57 +45,6 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # it is, Lanczos loses orthogonality and the iterates blow up; for L_1 and D of annulus:2..8, D of
 # hexpatch:8..10 and random clique complexes the ratio bottomed out at 1e-9 to 6e-9
 MINRES_KERNEL_RESIDUAL = 1e-7
-
-
-@record
-class SpectralDecomposition:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, orthonormal
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """Mask of the eigenvalues that count as zero (the harmonic part)."""
-        import numpy as np
-
-        w = np.abs(self.eigenvalues)
-        return w <= KERNEL_RELATIVE_CUTOFF * w.max(initial=1.0)
-
-    def apply(self, spectrum, v) -> np.ndarray:
-        """g(M) v = Q (g(w) * Q^T v) for the values g(w) given as ``spectrum``."""
-        q = self.eigenvectors
-        return q @ (spectrum * (q.T @ v))
-
-    def reconstruct(self) -> np.ndarray:
-        return self.eigenvectors @ (self.eigenvalues[:, None] * self.eigenvectors.T)
-
-
-def sym_eigen(m) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix, deterministic ordering.
-
-    Eigenvalues ascend, those in the kernel exactly 0.0 (no flow drifts on the
-    harmonic part); each eigenvector is sign-fixed so its first component of
-    nonnegligible size is positive.  Raises ArithmeticError when the
-    eigenvectors are not orthonormal or do not reconstruct m.
-    """
-    import numpy as np
-
-    if isinstance(m, OperatorMatrix):
-        m = m.data
-    a = np.asarray(m, dtype=float)
-    if not a.size:  # 0x0, from an empty graph
-        return SpectralDecomposition(*np.linalg.eigh(a))
-    if np.abs(a - a.T).max() > SYMMETRY_TOL:
-        raise DomainError("matrix is not symmetric")
-    w, q = np.linalg.eigh(a)  # eigenvalues ascend
-    q[:, q[(np.abs(q) > 1e-9).argmax(axis=0), np.arange(len(w))] < 0] *= -1
-    dec = SpectralDecomposition(w, q)
-    orthonormal = np.abs(q.T @ q - np.eye(len(w))).max()
-    if not orthonormal < ORTHONORMAL_TOL:
-        raise ArithmeticError(f"eigenvectors not orthonormal (residual {orthonormal:.3e})")
-    reconstruct = np.abs(dec.reconstruct() - a).max()
-    if not reconstruct < RECONSTRUCT_TOL * max(np.abs(a).max(), 1.0):
-        raise ArithmeticError(f"eigenvectors do not reconstruct the matrix (residual {reconstruct:.3e})")
-    return SpectralDecomposition(np.where(dec.kernel, 0.0, w), q)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +106,9 @@ def _exp_action(op: OperatorMatrix, alpha, u: list) -> list:
     cost = abs(alpha) * _norm1(op)
     if cost <= DENSE_CROSSOVER:
         return _taylor_action(_pairs(op), alpha, cost, u)
-    return _dense_exp_action(op, alpha, u)  # also a cost past the float range, or nan
+    from .spectral import dense_exp_action
+
+    return dense_exp_action(op, alpha, u)  # also a cost past the float range, or nan
 
 
 def _taylor_action(pairs, alpha, cost: float, u: list) -> list:
@@ -189,22 +130,6 @@ def _taylor_action(pairs, alpha, cost: float, u: list) -> list:
             c1 = c2
         u = f
     return u
-
-
-def _dense_exp_action(op: OperatorMatrix, alpha, u: list) -> list:
-    """e^(alpha A) u from one dense eigendecomposition of A."""
-    import numpy as np
-
-    dec = sym_eigen(op)
-    if isinstance(alpha, complex):  # a rotation e^(iwt): every w t must be a float
-        with np.errstate(over="ignore", invalid="ignore"):
-            wt = dec.eigenvalues * alpha.imag
-        if not np.isfinite(wt).all():
-            raise DomainError(f"eigenvalue * t leaves the float range at t = {alpha.imag!r}")
-        spectrum = np.exp(1j * wt)
-    else:
-        spectrum = np.exp(alpha * dec.eigenvalues)
-    return dec.apply(spectrum, np.asarray(u)).tolist()
 
 
 def _minres(op: OperatorMatrix, b: list, name: str) -> list:
@@ -354,30 +279,3 @@ def poisson_maxwell(c: GraphComplex, j: Form):
     if _max_abs(_matvec(_pairs(exterior_derivative(c, 2)), fv)) > SOURCE_TOL * _max_abs(av):
         raise ArithmeticError("dF != 0 beyond tolerance")
     return Form(c, 1, _ldexp(av, e)), Form(c, 2, _ldexp(fv, e))
-
-
-def feynman_path_sum(m, start: int, end: int, steps: int):
-    """Sum over all length-n index paths of the product of the entries of the square array m.
-
-    Equals the (end, start) entry of m^n exactly; enumeration is bounded
-    to keep the search desk-scale.
-    """
-    # an ndarray gives up its entries as Python numbers, so the products cannot wrap
-    mat = m.tolist() if hasattr(m, "tolist") else [list(row) for row in m]
-    n = len(mat)
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    if steps > 8 or n > 40:
-        raise DomainError("path enumeration bounded to steps <= 8, dimension <= 40")
-
-    def walk(position: int, remaining: int):
-        if remaining == 0:
-            return 1 if position == end else 0
-        total = 0
-        for nxt in range(n):
-            weight = mat[nxt][position]
-            if weight != 0:
-                total += weight * walk(nxt, remaining - 1)
-        return total
-
-    return walk(start, steps)

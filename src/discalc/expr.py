@@ -11,15 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .numcore import (
-    DomainError,
-    ParseError,
-    exp_trig_exact,
-    falling_power,
-    log_discrete,
-    reciprocal,
-    record,
-)
+from . import DomainError, ParseError, record
+from .numcore import exp_trig_exact, falling_power, log_discrete, reciprocal
 
 
 class NoClosedFormError(DomainError):
@@ -408,6 +401,43 @@ def _bound_power(node, v: int, n: int) -> None:
         raise DomainError(f"{to_string(node)} may need {bits} bits at this x; exact results are bounded to {MAX_RESULT_BITS}")
 
 
+def _log2(v: int) -> float:
+    return math.log2(v) if v > 1 else 0.0
+
+
+def _value_bits(node, x: int):
+    """(N, D): upper bounds on log2 |numerator| and log2 denominator of evaluate(node, x), read from the
+    tree without evaluating it, or None where the value is a float."""
+    if isinstance(node, Const):
+        v = node.value
+        return (_log2(abs(v.numerator)), _log2(v.denominator)) if isinstance(v, Fraction) else None
+    if isinstance(node, FallingPower):
+        return (0.0, 0.0) if 0 <= x < node.n else (node.n * _log2(max(abs(x), abs(x - node.n + 1))), 0.0)
+    if isinstance(node, PlainPower):
+        return node.n * _log2(abs(x)), 0.0
+    if isinstance(node, ExpBase):  # (p/q)^x = p^x / q^x, and q^-x / p^-x below 0
+        p, q = _log2(abs(node.c.numerator)), _log2(node.c.denominator)
+        return (x * p, x * q) if x >= 0 else (-x * q, -x * p)
+    if isinstance(node, Trig):  # |(1 + ia)^x| = (1 + a^2)^(x/2), over (1 + a^2)^-x below 0
+        half = abs(x) * _log2(1 + node.a * node.a) / 2
+        if x >= 0:
+            return half, 0.0
+        # for an odd a, 1 + ia = (1 + i)((1 + a) + (a - 1) i)/2 and (1 - i)^2 = -2i: each part of (1 - ia)^-x
+        # shares the factor 2^(-x // 2) with the denominator, which the reduced fraction drops
+        common = -x // 2 if node.a % 2 else 0
+        return half - common, 2 * half - common
+    if isinstance(node, (Log, Reciprocal)):
+        return None
+    parts = [_value_bits(t, x) for t in (node.terms if isinstance(node, Sum) else node.factors)]
+    if None in parts:
+        return None
+    den = sum(d for _, d in parts)
+    if isinstance(node, Product):
+        return sum(n for n, _ in parts), den
+    # sum_i n_i / d_i = (sum_i n_i prod_{j != i} d_j) / prod_j d_j, k terms of at most the largest size
+    return max(n + den - d for n, d in parts) + math.log2(len(parts)), den
+
+
 def evaluate(node, x: int):
     """Exact evaluation at an integer point (floats only via log/recip).
 
@@ -555,7 +585,8 @@ def definite_sum(node, lo: int, hi: int):
     The closed form costs two evaluations whatever hi - lo is.  Only a tree
     with no closed form in the basis, such as log(x) or x*sin(1.x), is summed
     term by term, over at most MAX_DIRECT_TERMS terms of at most
-    MAX_DIRECT_BITS exact bits in all.
+    MAX_DIRECT_BITS exact bits in all, a bound checked from the tree before
+    the first term is built.
     """
     if lo > hi:
         raise DomainError("definite_sum needs lo <= hi")
@@ -566,13 +597,12 @@ def definite_sum(node, lo: int, hi: int):
     except NoClosedFormError as exc:
         if hi - lo > MAX_DIRECT_TERMS:
             raise DomainError(f"{exc}; a term-by-term sum is bounded to {MAX_DIRECT_TERMS} terms") from None
-        total, bits = 0, 0  # a plain left-to-right loop: sum() compensates float sums on Python >= 3.12
+        # a reduced p/q has at most log2 |p| + log2 q + 2 bits; the bound is summed before any term is built
+        bits = sum(n + d + 2 for n, d in filter(None, (_value_bits(node, k) for k in range(lo, hi))))
+        if bits > MAX_DIRECT_BITS:
+            raise DomainError(f"{to_string(node)}: a term-by-term sum is bounded to {MAX_DIRECT_BITS} term bits")
+        total = 0  # a plain left-to-right loop: sum() compensates float sums on Python >= 3.12
         for k in range(lo, hi):
-            term = evaluate(node, k)
-            if isinstance(term, (int, Fraction)):
-                bits += term.numerator.bit_length() + term.denominator.bit_length()
-                if bits > MAX_DIRECT_BITS:
-                    raise DomainError(f"{to_string(node)}: a term-by-term sum is bounded to {MAX_DIRECT_BITS} term bits")
-            total = total + term
+            total = total + evaluate(node, k)
         return _norm(total)
     return _norm(evaluate(anti, hi) - evaluate(anti, lo))

@@ -1,33 +1,24 @@
 """k-forms and the exterior calculus operators on a clique complex.
 
-A form is a tuple of Python numbers indexed by the k-simplices, and the
-exact layer (``Form``, ``apply_d``, the integrals, Stokes and ``potential``)
-is plain Python over the signed face table ``GraphComplex.faces``, whose rows
-are the rows of d.  ``apply_d`` builds no matrix: it adds the signed face
-values of each simplex along its row; ``boundary_faces`` counts face
-positions mod 2, and the Stokes boundary sum uses the signs ``orient_region``
-propagates over the table.
-
-The operators d, d* = d^T, D = d + d* and L = D^2 are ``OperatorMatrix``
-values: sparse integer rows, one ``{column: nonzero}`` dict per row.  d wraps
-the table's rows as they are, and the others are built from them.  Every
-entry of d and D is 0 or +-1, and L and its blocks are Gram products m^T m
-summed in Python ints, so d.d = 0 and L = D^2 hold exactly.  Numpy is
-imported only by ``OperatorMatrix.data``, the dense int64 array that the dense
-fallback of ``discalc.evolution`` reads.  Exact-only: flows and the Poisson/Maxwell solve live in
-``discalc.evolution``.
+A form is a tuple of Python numbers indexed by the k-simplices.  The
+operators d, d* = d^T, D = d + d* and L = D^2 are ``OperatorMatrix`` values:
+sparse integer rows, one ``{column: nonzero}`` dict per row.  d wraps the
+rows of the signed face table ``GraphComplex.faces`` as they are, and the
+others are built from them.  Every entry of d and D is 0 or +-1, and L and
+its blocks are Gram products m^T m summed in Python ints, so d.d = 0 and
+L = D^2 hold exactly.  Numpy is imported only by ``OperatorMatrix.data``, the
+dense int64 array that the dense route of ``discalc.spectral`` reads.  The
+integrals, Stokes and ``potential`` live in ``discalc.vector``, the flows and
+the Poisson/Maxwell solve in ``discalc.evolution``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter, deque
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .complexes import GraphComplex, Orientation, orient_region
-from .numcore import DomainError, record
+from . import DomainError, record
+from .complexes import GraphComplex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,225 +146,3 @@ def _gram(m: OperatorMatrix) -> OperatorMatrix:
             for j, b in items:
                 acc[j] = acc.get(j, 0) + a * b
     return OperatorMatrix((m.shape[1],) * 2, tuple({j: v for j, v in acc.items() if v} for acc in out))
-
-
-def apply_d(F: Form) -> Form:
-    """dF(s) = sum_i (-1)^i F(s without vertex i), read along the signed rows of the face table."""
-    c, k = F.complex_ref, F.degree
-    if k < 0:
-        raise DomainError("degree must be >= 0")
-    if k >= c.top_dim:
-        return Form(c, k + 1, ())
-    # faces in ascending position, i.e. column i from k+1 down to 0, added left to right from the
-    # first term: the summation order of d_k @ F.  Not sum(), which compensates float sums on 3.12+.
-    values = F.values
-    return Form(c, k + 1, [reduce(add, [s * values[f] for f, s in reversed(row.items())])
-                           for row in c.faces[k + 1]])
-
-
-# ---------------------------------------------------------------------------
-# Integration and the integral theorems
-
-
-def integrate(form: Form, region, orientation: Orientation):
-    """Signed sum of form values over an oriented region of its degree."""
-    if orientation.degree != form.degree:
-        raise DomainError("orientation degree does not match form degree")
-    idx = form.complex_ref.index[form.degree]
-    total = 0
-    for s in region:
-        s = tuple(s)
-        if s not in orientation.signs:
-            raise DomainError(f"orientation does not cover {s}")
-        total = total + orientation.signs[s] * form.values[idx[s]]
-    return total
-
-
-def edge_value(F: Form, a: int, b: int):
-    """F on the directed edge a -> b (sign-flipped when a > b)."""
-    if F.degree != 1:
-        raise DomainError("edge_value needs a 1-form")
-    idx = F.complex_ref.index[1]
-    key = (min(a, b), max(a, b))
-    if key not in idx:
-        raise DomainError(f"({a},{b}) is not an edge")
-    v = F.values[idx[key]]
-    return v if a < b else -v
-
-
-def line_integral(F: Form, path) -> object:
-    """Integral of a 1-form along a vertex path v_0, ..., v_m."""
-    total = 0
-    for a, b in zip(path, path[1:]):
-        total = total + edge_value(F, a, b)
-    return total
-
-
-def boundary_faces(c: GraphComplex, k: int, region) -> list:
-    """Faces incident to an odd number of region k-simplices (mod-2 boundary),
-    in table order: the region's face positions in ``c.faces[k]`` counted mod 2."""
-    counts = Counter(f for r in c.positions(k, region) for f in c.faces[k][r])
-    return [c.simplices[k - 1][f] for f in sorted(counts) if counts[f] % 2]
-
-
-def stokes_sides(c: GraphComplex, region, F: Form):
-    """(int_region dF, int_boundary F); equal in exact arithmetic.
-
-    ``region`` is a set of (k+1)-simplices for a k-form F.
-    """
-    k = F.degree
-    orientation = orient_region(c, k + 1, region)
-    lhs = integrate(apply_d(F), region, orientation)
-    idx = c.index[k]
-    rhs = 0
-    for f, sign in orientation.boundary_signs.items():
-        rhs = rhs + sign * F.values[idx[f]]
-    return lhs, rhs
-
-
-def stokes_residual(c: GraphComplex, region, F: Form):
-    """int_region dF - int_boundary F; zero in exact arithmetic."""
-    lhs, rhs = stokes_sides(c, region, F)
-    return lhs - rhs
-
-
-# ---------------------------------------------------------------------------
-# Vector-calculus products
-
-
-def dot_at_vertex(F: Form, G: Form, x: int):
-    """Sum of F(e) G(e) over the edges attached to x."""
-    if F.degree != 1 or G.degree != 1:
-        raise DomainError("dot product is defined for 1-forms")
-    idx = F.complex_ref.index[1]
-    total = 0
-    for y in sorted(F.complex_ref.graph.neighbors(x)):
-        i = idx[(min(x, y), max(x, y))]
-        total = total + F.values[i] * G.values[i]
-    return total
-
-
-def form_length(F: Form, x: int) -> float:
-    return math.sqrt(float(dot_at_vertex(F, F, x)))
-
-
-def form_angle(F: Form, G: Form, x: int) -> float:
-    lf = form_length(F, x)
-    lg = form_length(G, x)
-    if lf == 0 or lg == 0:
-        raise DomainError("angle undefined for a zero-length form")
-    cosine = float(dot_at_vertex(F, G, x)) / (lf * lg)
-    return math.acos(max(-1.0, min(1.0, cosine)))
-
-
-def cross_on_triangle(F: Form, G: Form, triangle) -> object:
-    """F(x,y) G(x,z) - F(x,z) G(x,y) on a triangle anchored at its first vertex."""
-    x, y, z = triangle
-    key = tuple(sorted(triangle))
-    if key not in F.complex_ref.index[2]:
-        raise DomainError(f"{triangle} is not a triangle")
-    return edge_value(F, x, y) * edge_value(G, x, z) - edge_value(F, x, z) * edge_value(G, x, y)
-
-
-def triple_product(F: Form, G: Form, H: Form, tet) -> object:
-    """3x3 determinant of edge values from the anchor of a tetrahedron."""
-    x, y, z, w = tet
-    key = tuple(sorted(tet))
-    if len(F.complex_ref.index) < 4 or key not in F.complex_ref.index[3]:
-        raise DomainError(f"{tet} is not a tetrahedron")
-    m = [[edge_value(P, x, v) for v in (y, z, w)] for P in (F, G, H)]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-# ---------------------------------------------------------------------------
-# Directional derivative and gradient ascent
-
-
-def directional_derivative(c: GraphComplex, f, edge):
-    """df on a directed edge (a, b): f(b) - f(a)."""
-    a, b = edge
-    if (min(a, b), max(a, b)) not in c.index[1]:
-        raise DomainError(f"({a},{b}) is not an edge")
-    return f[b] - f[a]
-
-
-def gradient_ascent(c: GraphComplex, f, start: int) -> list:
-    """Follow the steepest positive directional derivative to a local maximum."""
-    path = [start]
-    current = start
-    for _ in range(c.graph.vertex_count):
-        candidates = [(f[w] - f[current], w) for w in c.graph.neighbors(current)]
-        gain, best = max(candidates) if candidates else (0, None)
-        if best is None or gain <= 0:
-            return path
-        current = best
-        path.append(current)
-    return path
-
-
-# ---------------------------------------------------------------------------
-# Potentials
-
-
-class NotGradientFieldError(DomainError):
-    """The 1-form has nonzero circulation; carries a witness cycle."""
-
-    def __init__(self, message: str, witness):
-        super().__init__(message)
-        self.witness = witness
-
-
-def potential(c: GraphComplex, F: Form) -> list:
-    """Solve d0 f = F by spanning-tree propagation; f(v0) = 0.
-
-    Raises NotGradientFieldError with a violated cycle when F has
-    circulation on some non-tree edge.
-    """
-    g = c.graph
-    if g.vertex_count == 0:
-        raise DomainError("empty graph")
-    adj = g.adjacency()
-    f = [None] * g.vertex_count
-    parent = [None] * g.vertex_count
-    f[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if f[w] is None:
-                f[w] = f[v] + edge_value(F, v, w)
-                parent[w] = v
-                queue.append(w)
-    if any(v is None for v in f):
-        raise DomainError("graph is not connected")
-    for (a, b), i in c.index[1].items():
-        if f[b] - f[a] != F.values[i]:
-            cycle = _tree_cycle(parent, a, b)
-            raise NotGradientFieldError(f"circulation on cycle through edge ({a},{b})", cycle)
-    return f
-
-
-def _tree_cycle(parent, a, b) -> list:
-    def root_path(v):
-        path = [v]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path
-
-    pa, pb = root_path(a), root_path(b)
-    common = set(pa) & set(pb)
-    trimmed_a = []
-    for v in pa:
-        trimmed_a.append(v)
-        if v in common:
-            break
-    trimmed_b = []
-    for v in pb:
-        if v in common and v == trimmed_a[-1]:
-            break
-        trimmed_b.append(v)
-    return trimmed_a + trimmed_b[::-1] + [a]

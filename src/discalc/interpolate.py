@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import expr
-from .numcore import DomainError, Sequence, binomial_exact, diff, record
+from . import DomainError, expr, record
+from .numcore import Sequence, binomial_exact, diff
 
 
 @record

@@ -1,87 +1,20 @@
 """Exact scalar kernels for step-1 difference calculus on the integers.
 
 Everything here is computed in integer / rational / Gaussian-integer
-arithmetic; floats appear only in the deformed (h != 1) variants.
+arithmetic; floats appear only in the deformed (h != 1) variants.  The
+functions that build a rational import ``fractions`` themselves, so the
+float-only ``plot`` command never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from operator import attrgetter
 
-
-class DomainError(ValueError):
-    """Input outside the domain of an operation."""
-
-
-class ParseError(ValueError):
-    """Syntax error; carries the byte offset of the offending token."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
+from . import DomainError, record
 
 
 #: Marker returned by :func:`tan_discrete` where cos vanishes.
 INFINITY = math.inf
-
-
-def record(cls):
-    """Make ``cls`` a frozen record over its annotated fields, like a frozen standard-library data class.
-
-    Adds ``__init__`` (positional or keyword arguments, the class-level defaults, then
-    ``__post_init__``), ``__eq__`` and ``__hash__`` on the exact type and the field values, a
-    repr such as ``Trig(kind='sin', a=2)``, and a ``__setattr__`` and ``__delattr__`` that raise
-    AttributeError.  The methods are closures over the field names: defining a record costs no
-    ``exec``, and no command pays the start-up of the standard data-class module and of ``inspect``.
-    """
-    names = tuple(cls.__annotations__)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    post_init = cls.__dict__.get("__post_init__")
-    key = attrgetter(*names, "__class__")  # the field values and the exact type
-
-    def fill(fields, args, kwargs):
-        rest = names[len(args):]
-        if len(args) > len(names) or not kwargs.keys() <= set(rest):
-            raise TypeError(f"{cls.__qualname__}() takes the arguments ({', '.join(names)}), "
-                            f"got {len(args)} positional and {sorted(kwargs)} by keyword")
-        for name in rest:
-            if name in kwargs:
-                fields[name] = kwargs[name]
-            elif name in defaults:
-                fields[name] = defaults[name]
-            else:
-                raise TypeError(f"{cls.__qualname__}() is missing the argument {name!r}")
-
-    def __init__(self, *args, **kwargs):
-        fields = self.__dict__
-        fields.update(zip(names, args))
-        if kwargs or len(args) != len(names):
-            fill(fields, args, kwargs)
-        if post_init is not None:
-            post_init(self)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return key(self) == key(other)
-
-    def __hash__(self):
-        return hash(key(self))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
-        setattr(cls, method.__name__, method)
-    return cls
 
 
 @record
@@ -176,6 +109,8 @@ def falling_power(x: int, n: int) -> int:
 
 def binomial_exact(x: int, k: int) -> Fraction:
     """Generalized binomial [x]^k / k! as an exact rational."""
+    from fractions import Fraction
+
     return Fraction(falling_power(x, k), math.factorial(k))
 
 
@@ -200,6 +135,8 @@ def exp_exact(a: int, x: int):
         return (1 + a) ** x
     if 1 + a == 0:
         raise DomainError("exp base 0 has no negative powers")
+    from fractions import Fraction
+
     return Fraction(1, (1 + a) ** (-x))
 
 
@@ -237,6 +174,8 @@ def tan_discrete(x: int):
     z = exp_trig_exact(1, x)
     if z.re == 0:
         return INFINITY
+    from fractions import Fraction
+
     return Fraction(z.im, z.re)
 
 
@@ -264,6 +203,8 @@ def solve_harmonic(a: int, f0, f1):
     """
     if a == 0:
         raise DomainError("solve_harmonic needs a != 0")
+    from fractions import Fraction
+
     c_cos = Fraction(f0)
     c_sin = Fraction(f1 - f0, a)
     return c_cos, c_sin
@@ -271,6 +212,8 @@ def solve_harmonic(a: int, f0, f1):
 
 def harmonic_eval(a: int, c_cos, c_sin, x: int):
     """Evaluate c_cos cos(a.x) + c_sin sin(a.x) exactly at integer x >= 0."""
+    from fractions import Fraction
+
     z = exp_trig_exact(a, x)
     value = Fraction(c_cos) * z.re + Fraction(c_sin) * z.im
     if value.denominator == 1:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .numcore import DomainError, exp_h, exp_h_complex, log_discrete, sin_h
+from . import DomainError
+from .numcore import exp_h, exp_h_complex, log_discrete, sin_h
 
 WIDTH, HEIGHT = 800, 500
 MARGIN = 40

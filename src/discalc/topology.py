@@ -1,22 +1,24 @@
-"""Euler characteristic, Betti numbers, curvature and critical-point indices.
+"""Euler characteristic, Betti numbers, curvature, critical-point indices and the unit-sphere classifier.
 
-Everything is exact: curvature and index expectations are rationals.  Curvature
-and Poincare-Hopf indices are read from the simplices in one pass each; the
-index expectation is a local enumeration at each vertex.  Betti numbers come
-from the rank over Q of each d_k, whose rows are the signed rows of the face
-table ``GraphComplex.faces``, by sparse fraction-free elimination on Python
-ints (no matrix, no modular step).  The tests check that rank against a dense
-Bareiss elimination of their own.
+Everything is exact: curvature and index expectations are rationals, built by
+the functions that import ``fractions``, so ``graph betti``, ``info`` and
+``classify`` never load it.  Curvature and Poincare-Hopf indices are read from
+the simplices in one pass each; the index expectation is a local enumeration
+at each vertex.  Betti numbers come from the rank over Q of each d_k, whose
+rows are the signed rows of the face table ``GraphComplex.faces``, by sparse
+fraction-free elimination on Python ints (no matrix, no modular step).  The
+tests check that rank against a dense Bareiss elimination of their own.  The
+curve / surface / solid classifier reads the unit spheres, and a level curve
+reads the triangles' rows of the face table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
-from .complexes import Graph, GraphComplex, build_complex, classify, connected_components, is_cycle_graph
-from .numcore import DomainError, record
+from . import DomainError, record
+from .complexes import Graph, GraphComplex, build_complex
 
 
 MAX_EXPECTATION_DEGREE = 10  # index_expectation sums 2^degree subsets per vertex; complete:11 takes about 1 s
@@ -67,6 +69,8 @@ def betti(c: GraphComplex) -> tuple:
 def curvature_vector(c: GraphComplex) -> tuple:
     """K(x) = sum_k (-1)^k V_{k-1}(x)/(k+1), V_{k-1}(x) counting the k-simplices that contain x, in one
     pass (about 1 ms on hexpatch:12): a (k-1)-simplex of the unit sphere S(x) plus x is a k-simplex of G."""
+    from fractions import Fraction
+
     denominator = math.lcm(*range(1, c.top_dim + 2))
     totals = [0] * c.graph.vertex_count
     for k, level in enumerate(c.simplices):
@@ -159,6 +163,8 @@ def index_expectation(c: GraphComplex) -> tuple:
     sphere (the empty set's complex has chi 0); d above MAX_EXPECTATION_DEGREE raises DomainError.
     This enumeration is not the curvature formula restated: it checks Gauss-Bonnet.
     """
+    from fractions import Fraction
+
     g = c.graph
     spheres = [sorted(g.neighbors(x)) for x in range(g.vertex_count)]
     if any(len(sphere) > MAX_EXPECTATION_DEGREE for sphere in spheres):
@@ -176,8 +182,142 @@ def index_expectation(c: GraphComplex) -> tuple:
 
 def umlaufsatz_sum(c: GraphComplex) -> Fraction:
     """Sum of boundary curvatures of a flat surface with boundary: 1 - #holes."""
+    from fractions import Fraction
+
     cls = classify(c)
     if cls.kind != "surface" or not cls.flat or not cls.boundary:
         raise DomainError("umlaufsatz needs a flat surface with non-empty boundary")
     curvatures = curvature_vector(c)
     return sum((curvatures[x] for x in cls.boundary), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Geometric classifiers
+
+
+def unit_sphere(c: GraphComplex, v: int) -> Graph:
+    """Induced subgraph on the neighbors of v, relabelled in increasing order."""
+    return c.graph.induced(c.graph.neighbors(v))
+
+
+def connected_components(g: Graph) -> list:
+    adj = g.adjacency()
+    seen = [False] * g.vertex_count
+    components = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        components.append(sorted(comp))
+    return components
+
+
+def is_path_graph(g: Graph) -> bool:
+    """A single path P_m with m >= 2 vertices (a chain of 1-simplices)."""
+    if g.vertex_count < 2 or len(g.edges) != g.vertex_count - 1:
+        return False
+    if len(connected_components(g)) != 1:
+        return False
+    degrees = sorted(len(g.neighbors(v)) for v in range(g.vertex_count))
+    return degrees.count(1) == 2 and all(d <= 2 for d in degrees)
+
+
+def is_cycle_graph(g: Graph, min_len: int = 3) -> bool:
+    if g.vertex_count < min_len or len(g.edges) != g.vertex_count:
+        return False
+    if len(connected_components(g)) != 1:
+        return False
+    return all(len(g.neighbors(v)) == 2 for v in range(g.vertex_count))
+
+
+@record
+class Classification:
+    kind: str  # "curve" | "surface" | "solid" | "other"
+    boundary: tuple  # boundary vertex indices
+    flat: bool = False
+
+
+def classify(c: GraphComplex) -> Classification:
+    """Curve / surface / solid classification by unit-sphere shape."""
+    g = c.graph
+    if g.vertex_count == 0:
+        return Classification("other", ())
+    sphere_cache = [unit_sphere(c, v) for v in range(g.vertex_count)]
+
+    def all_curve():
+        boundary = []
+        for v, s in enumerate(sphere_cache):
+            if len(s.edges) != 0 or s.vertex_count not in (1, 2):
+                return None
+            if s.vertex_count == 1:
+                boundary.append(v)
+        return Classification("curve", tuple(boundary))
+
+    def all_surface():
+        boundary = []
+        interior_c6 = True
+        for v, s in enumerate(sphere_cache):
+            if is_path_graph(s):
+                boundary.append(v)
+            elif is_cycle_graph(s, min_len=4):
+                if s.vertex_count != 6:
+                    interior_c6 = False
+            else:
+                return None
+        return Classification("surface", tuple(boundary), flat=interior_c6)
+
+    def all_solid():
+        boundary = []
+        for v, s in enumerate(sphere_cache):
+            sphere = build_complex(s)
+            sub = classify(sphere)
+            if sub.kind != "surface":
+                return None
+            chi = sum((-1) ** k * v for k, v in enumerate(sphere.counts()))
+            if sub.boundary and chi == 1:
+                boundary.append(v)  # sphere is a disc: boundary point
+            elif not sub.boundary and chi == 2:
+                pass  # sphere is a 2-sphere: interior point
+            else:
+                return None
+        return Classification("solid", tuple(boundary))
+
+    for attempt in (all_curve, all_surface, all_solid):
+        result = attempt()
+        if result is not None:
+            return result
+    return Classification("other", ())
+
+
+# ---------------------------------------------------------------------------
+# Level curves
+
+
+def level_curve(c: GraphComplex, f, cut) -> Graph:
+    """Graph of sign-change edges, linked when two such edges share a triangle.
+
+    A triangle's edges are its row of ``c.faces[2]``.  On a boundaryless
+    surface the result is a finite union of cycles.
+    """
+    g = c.graph
+    values = [f[v] for v in range(g.vertex_count)]
+    if len(set(values)) != len(values):
+        raise DomainError("level_curve needs an injective function")
+    if any(v == cut for v in values):
+        raise DomainError("cut collides with a function value")
+    edges = c.simplices[1] if c.top_dim >= 1 else ()
+    crossing = [r for r, (a, b) in enumerate(edges) if (values[a] - cut) * (values[b] - cut) < 0]
+    back = {r: i for i, r in enumerate(crossing)}
+    triangles = c.faces[2] if c.top_dim >= 2 else ()
+    new_edges = {e for row in triangles
+                 for e in itertools.combinations(sorted(back[r] for r in row if r in back), 2)}
+    return Graph(len(crossing), frozenset(new_edges), tuple("{}-{}".format(*edges[r]) for r in crossing))

@@ -19,7 +19,9 @@ from discalc import (
     forms as fm,
     interpolate as ip,
     numcore as nc,
+    spectral as sp,
     topology as tp,
+    vector as vc,
 )
 
 from conftest import random_connected_graph, random_graph
@@ -137,8 +139,8 @@ def test_criterion_5_integral_theorems():
         values[c.index[1][(i, 6)]] = 1
     F = fm.Form(c, 1, values)
     region = list(c.simplices[2])
-    orientation = cx.orient_region(c, 2, region)
-    lhs = fm.integrate(fm.apply_d(F), region, orientation)
+    orientation = vc.orient_region(c, 2, region)
+    lhs = vc.integrate(vc.apply_d(F), region, orientation)
     rhs = sum(sign * F.values[c.index[1][f]]
               for f, sign in orientation.boundary_signs.items())
     assert abs(lhs) == abs(rhs) == 21
@@ -156,7 +158,7 @@ def test_criterion_5_integral_theorems():
                 break
             patch.append(rng.choice(frontier))
         F = fm.Form(ico, 1, np.array([rng.randint(-9, 9) for _ in range(30)], dtype=object))
-        assert fm.stokes_residual(ico, patch, F) == 0
+        assert vc.stokes_residual(ico, patch, F) == 0
 
     for _ in range(100):
         g = random_connected_graph(rng, rng.randint(3, 10))
@@ -166,7 +168,7 @@ def test_criterion_5_integral_theorems():
         path = [rng.randrange(g.vertex_count)]
         for _ in range(rng.randint(1, 12)):
             path.append(rng.choice(sorted(g.neighbors(path[-1]))))
-        assert fm.line_integral(F, path) == f[path[-1]] - f[path[0]]
+        assert vc.line_integral(F, path) == f[path[-1]] - f[path[0]]
 
 
 @_report("criterion 6 (topology: chi, Betti, Gauss-Bonnet, Poincare-Hopf)")
@@ -241,7 +243,7 @@ def test_criterion_7_flows():
                 power = mat @ power
             for start in range(m):
                 for end in range(m):
-                    assert ev.feynman_path_sum(mat, start, end, steps) == power[end, start]
+                    assert sp.feynman_path_sum(mat, start, end, steps) == power[end, start]
 
 
 @_report("criterion 8 (Poisson/Maxwell on K_5)")

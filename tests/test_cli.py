@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import discalc
-from discalc import cli, complexes as cx, evolution as ev, expr, forms
-from discalc.numcore import DomainError
+from discalc import DomainError, cli, complexes as cx, evolution as ev, expr, vector as vc
 
 
 def run_cli(*args, cwd=None):
@@ -24,6 +23,17 @@ def run_cli(*args, cwd=None):
         [sys.executable, "-m", "discalc", *args],
         capture_output=True, text=True, cwd=cwd,
     )
+
+
+# runs the command line sys.argv[1:] with at most 1 GiB of address space, a limit it sets on itself
+BOUNDED_MAIN = """if True:
+    import resource, sys
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    from discalc.cli import main
+    sys.exit(main())
+"""
 
 
 def imported_modules(module):
@@ -360,6 +370,10 @@ class TestFrontDoor:
         (("taylor", "--samples", "{f}", "--eval", "3", "--print"), {"f": "1,1\n2,4\n3,9\n4,16\n"}, 2),
         # one field longer than csv.field_size_limit() (131072 by default): csv.Error, a usage error
         (("taylor", "--samples", "{f}", "--eval", "3"), {"f": "0," + "1" * 200_000 + "\n"}, 1),
+        # graphs past complexes.MAX_SIMPLICES and MAX_VERTICES, refused before they are built
+        (("graph", "info", "--gen", "complete:30"), {}, 2),
+        (("graph", "info", "--gen", "hexpatch:100000"), {}, 2),
+        (("graph", "info", "--file", "{g}"), {"g": '{"vertices": 10000000000, "edges": []}'}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "file-bool-vertex-count",
             "file-bool-endpoint", "simplex-descending",
             "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
@@ -374,13 +388,20 @@ class TestFrontDoor:
             "eval-literal-power-past-result-bound", "eval-no-closed-form",
             "stokes-non-orientable", "poisson-harmonic-current", "poisson-tiny-divergence",
             "wave-tiny-harmonic-velocity", "fn-vertex-twice", "form-simplex-twice",
-            "taylor-print-unanchored", "samples-field-past-csv-limit"])
+            "taylor-print-unanchored", "samples-field-past-csv-limit", "complete-past-simplex-bound",
+            "hexpatch-past-vertex-bound", "file-past-vertex-bound"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
             (tmp_path / key).write_text(text)
             paths[key] = str(tmp_path / key)
-        r = run_cli(*(a.format(**paths) for a in args))
+        argv = [a.format(**paths) for a in args]
+        if args[0] == "graph":
+            # a graph command bounds its own address space, so a size bound that stops holding ends in a
+            # MemoryError within seconds instead of filling the machine
+            r = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, *argv], capture_output=True, text=True)
+        else:
+            r = run_cli(*argv)
         assert r.returncode == code, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
@@ -403,18 +424,18 @@ class TestFrontDoor:
 
     def test_scalar_modules_leave_numpy_unloaded(self):
         code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate, discalc.complexes, "
-                "discalc.topology, discalc.forms, discalc.evolution, discalc.cli\n"
+                "discalc.topology, discalc.forms, discalc.vector, discalc.evolution, discalc.cli\n"
                 "for m in ('numpy', 'dataclasses'):\n"
                 "    if m in sys.modules: raise SystemExit(m + ' imported by a plain-Python module')")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
 
-    def test_cli_import_loads_only_numcore(self):
-        # every other library module is imported by the subcommand that uses it
+    def test_cli_import_loads_no_library_module(self):
+        # every library module is imported by the subcommand that runs it
         code = "import sys, discalc.cli\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('discalc'))))"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.split() == ["discalc", "discalc.cli", "discalc.numcore"]
+        assert r.stdout.split() == ["discalc", "discalc.cli"]
 
     @pytest.mark.parametrize("args", [
         ("eval", "3*[x]^5 + sin(2.x)", "--at", "10", "--op", "diff"),
@@ -438,31 +459,57 @@ class TestFrontDoor:
         ("pde", "wave", "--gen", "wheel:6", "--t", "0.5", "--form", "{w}"),
         ("pde", "wave", "--gen", "wheel:6", "--t", "0.5", "--form", "{w}", "--velocity", "{v}"),
         ("pde", "schrodinger", "--gen", "wheel:6", "--t", "0.5", "--form", "{w}"),
+        ("pde", "schrodinger", "--gen", "wheel:6", "--t", "0.5", "--form", "{x}"),
     ], ids=["eval", "sum", "taylor-eval", "taylor-print", "plot-sin", "plot-pow", "graph-info", "graph-betti",
             "graph-curvature", "graph-indices", "graph-classify", "forms-stokes", "forms-dirac", "forms-laplacian",
             "forms-laplacian-block", "forms-poisson", "pde-heat", "pde-heat-degree-1", "pde-wave",
-            "pde-wave-velocity", "pde-schrodinger"])
+            "pde-wave-velocity", "pde-schrodinger", "pde-schrodinger-float-input"])
     def test_scalar_and_graph_commands_leave_numpy_unloaded(self, tmp_path, args):
+        reads_exact = any(a in ("{s}", "{f}", "{w}", "{h}", "{j}", "{v}") for a in args)
+        reads_file = reads_exact or "{x}" in args
+        # json is imported only by Graph.to_json and Graph.from_json, which a --gen graph never calls; csv only
+        # by the reader of an input file, and discalc.plot only by plot
+        unloaded = ["numpy", "dataclasses", "json", "discalc.spectral"]
+        if not reads_file:
+            unloaded.append("csv")
+        if args[0] != "plot":
+            unloaded.append("discalc.plot")
+        if args[0] in ("graph", "forms", "pde"):
+            unloaded.append("discalc.numcore")
+        if args[:2] != ("forms", "stokes"):
+            unloaded.append("discalc.vector")
+        # fractions is loaded by the first exact value read (every input file here but {x} has one), by the
+        # scalar commands, by an exact curvature and by the bound of pow:N in discalc.expr
+        if not (reads_exact or args[0] in ("eval", "sum", "taylor") or "curvature" in args or "pow:3" in args):
+            unloaded.append("fractions")
+        self.assert_modules(tmp_path, args, unloaded=unloaded)
+
+    def test_pde_past_the_crossover_loads_spectral(self, tmp_path):
+        # ||L_0||_1 = 12 at the hub of wheel:6, so t = 6 costs 72 > DENSE_CROSSOVER: the dense route
+        assert 6 * 12 > ev.DENSE_CROSSOVER
+        self.assert_modules(tmp_path, ("pde", "heat", "--gen", "wheel:6", "--t", "6", "--form", "{h}"),
+                            unloaded=["discalc.numcore", "discalc.vector"], loaded=["discalc.spectral", "numpy"])
+
+    @staticmethod
+    def assert_modules(tmp_path, args, unloaded, loaded=()):
+        """Run one command in a fresh process through cli.main; it must exit 0 and print, with none of the
+        ``unloaded`` modules imported and all of the ``loaded`` ones."""
         (tmp_path / "samples.csv").write_text("0,1\n1,2\n2,4\n3,8\n4,16\n")
         (tmp_path / "fn.csv").write_text("0,0\n1,9\n2,1\n3,2\n4,3\n5,4\n")
         (tmp_path / "form.csv").write_text("1,0-1,3\n1,1-6,2/3\n1,5-6,-1.5\n")
         (tmp_path / "heat.csv").write_text("0,0,1\n0,6,-2\n")
         (tmp_path / "current.csv").write_text("1,0-1,1\n1,1-6,1\n1,0-6,-1\n")  # d1* of the triangle 0-1-6
         (tmp_path / "velocity.csv").write_text("1,0-1,-1\n1,0-5,-1\n1,0-6,-1\n")  # D of the vertex 0: in im D
+        (tmp_path / "float.csv").write_text("0,0,1.5\n1,0-1,-0.25\n")
         paths = {"s": tmp_path / "samples.csv", "f": tmp_path / "fn.csv", "w": tmp_path / "form.csv",
                  "h": tmp_path / "heat.csv", "j": tmp_path / "current.csv", "v": tmp_path / "velocity.csv",
-                 "o": tmp_path / "out.svg"}
-        # json is imported only by Graph.to_json and Graph.from_json, which a --gen graph never calls; csv only
-        # by the reader of an input file, and discalc.plot only by plot
-        unloaded = ["numpy", "dataclasses", "json"]
-        if not any(a in ("{s}", "{f}", "{w}", "{h}", "{j}", "{v}") for a in args):
-            unloaded.append("csv")
-        if args[0] != "plot":
-            unloaded.append("discalc.plot")
+                 "x": tmp_path / "float.csv", "o": tmp_path / "out.svg"}
         code = ("import sys\nfrom discalc import cli\ncode = cli.main(sys.argv[1:])\n"
                 "if code: raise SystemExit(f'exit {code}')\n"
-                f"for m in {unloaded!r}:\n"
-                "    if m in sys.modules: raise SystemExit(m + ' loaded by ' + sys.argv[1])")
+                f"for m in {list(unloaded)!r}:\n"
+                "    if m in sys.modules: raise SystemExit(m + ' loaded by ' + sys.argv[1])\n"
+                f"for m in {list(loaded)!r}:\n"
+                "    if m not in sys.modules: raise SystemExit(m + ' not loaded by ' + sys.argv[1])")
         r = subprocess.run([sys.executable, "-c", code, *(a.format(**paths) for a in args)],
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
@@ -475,9 +522,9 @@ class TestFrontDoor:
             assert "dataclasses" not in names, f"{module}.py line {line} imports dataclasses"
 
     @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__", "complexes", "topology",
-                                        "plot"])
+                                        "plot", "evolution", "vector"])
     def test_import_boundary_names_no_numpy(self, module):
-        # read, not imported: cli.py reaches numpy only through the dense fallback of evolution
+        # read, not imported: cli.py reaches numpy only through discalc.spectral, past the crossover of evolution
         for line, names in imported_modules(module):
             if any(name.split(".")[0] == "numpy" for name in names):
                 pytest.fail(f"{module}.py line {line} imports numpy")
@@ -496,8 +543,8 @@ class TestFrontDoor:
             unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
             assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
-    @pytest.mark.parametrize("error", [expr.NoClosedFormError, cx.NonOrientableError,
-                                       forms.NotGradientFieldError, ev.HarmonicComponentError])
+    @pytest.mark.parametrize("error", [expr.NoClosedFormError, vc.NonOrientableError,
+                                       vc.NotGradientFieldError, ev.HarmonicComponentError])
     def test_exit_2_errors_are_domain_errors(self, error):
         assert issubclass(error, DomainError)
 

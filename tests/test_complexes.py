@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from discalc import complexes as cx, forms as fm
-from discalc.numcore import DomainError
+from discalc import DomainError, complexes as cx, topology as tp, vector as vc
 
 from conftest import random_graph
 
@@ -174,7 +173,7 @@ class TestGenerators:
     def test_annulus_has_hole(self):
         g = cx.hex_annulus(2)
         assert g.vertex_count == 18
-        cls = cx.classify(cx.build_complex(g))
+        cls = tp.classify(cx.build_complex(g))
         assert cls.kind == "surface"
         assert cls.flat
 
@@ -182,7 +181,7 @@ class TestGenerators:
     def test_annulus_hole_is_central(self, radius):
         # the six vertices around the hole all lie radius - 1 steps inside the outer boundary
         g = cx.hex_annulus(radius)
-        boundary = cx.classify(cx.build_complex(g)).boundary
+        boundary = tp.classify(cx.build_complex(g)).boundary
         # the hole's rim lost one of six neighbours; the outer rim keeps three or four
         inner = [v for v in boundary if len(g.neighbors(v)) == 5]
         outer = [v for v in boundary if len(g.neighbors(v)) < 5]
@@ -203,34 +202,34 @@ class TestSpheresAndClassify:
     def test_octahedron_spheres_are_c4(self):
         c = cx.build_complex(cx.generate("octahedron"))
         for v in range(6):
-            s = cx.unit_sphere(c, v)
-            assert cx.is_cycle_graph(s)
+            s = tp.unit_sphere(c, v)
+            assert tp.is_cycle_graph(s)
             assert s.vertex_count == 4
 
     def test_icosahedron_spheres_are_c5(self):
         c = cx.build_complex(cx.generate("icosahedron"))
         for v in range(12):
-            s = cx.unit_sphere(c, v)
-            assert cx.is_cycle_graph(s)
+            s = tp.unit_sphere(c, v)
+            assert tp.is_cycle_graph(s)
             assert s.vertex_count == 5
 
     def test_cycle_is_boundaryless_curve(self):
-        cls = cx.classify(cx.build_complex(cx.generate("cycle", 7)))
-        assert cls == cx.Classification("curve", ())
+        cls = tp.classify(cx.build_complex(cx.generate("cycle", 7)))
+        assert cls == tp.Classification("curve", ())
 
     def test_path_is_curve_with_two_ends(self):
-        cls = cx.classify(cx.build_complex(cx.generate("path", 5)))
+        cls = tp.classify(cx.build_complex(cx.generate("path", 5)))
         assert cls.kind == "curve"
         assert cls.boundary == (0, 4)
 
     def test_octahedron_is_surface(self):
-        cls = cx.classify(cx.build_complex(cx.generate("octahedron")))
+        cls = tp.classify(cx.build_complex(cx.generate("octahedron")))
         assert cls.kind == "surface"
         assert cls.boundary == ()
         assert not cls.flat  # C_4 spheres carry curvature
 
     def test_hexpatch_is_flat_disc(self):
-        cls = cx.classify(cx.build_complex(cx.hex_patch(2)))
+        cls = tp.classify(cx.build_complex(cx.hex_patch(2)))
         assert cls.kind == "surface"
         assert len(cls.boundary) == 12
         assert cls.flat
@@ -238,23 +237,23 @@ class TestSpheresAndClassify:
     def test_k4_is_solid_ball(self):
         # every unit sphere is a triangle, i.e. a disc, so all 4 vertices
         # are boundary points of a 3-ball
-        cls = cx.classify(cx.build_complex(cx.generate("complete", 4)))
+        cls = tp.classify(cx.build_complex(cx.generate("complete", 4)))
         assert cls.kind == "solid"
         assert cls.boundary == (0, 1, 2, 3)
 
     def test_k5_is_other(self):
         # spheres are K_4, which is a solid, not a surface
-        cls = cx.classify(cx.build_complex(cx.generate("complete", 5)))
+        cls = tp.classify(cx.build_complex(cx.generate("complete", 5)))
         assert cls.kind == "other"
 
     def test_wheel_is_surface_with_rim_boundary(self):
-        cls = cx.classify(cx.build_complex(cx.generate("wheel", 6)))
+        cls = tp.classify(cx.build_complex(cx.generate("wheel", 6)))
         assert cls.kind == "surface"
         assert cls.boundary == (0, 1, 2, 3, 4, 5)
         assert cls.flat  # hub sphere is C_6
 
     def test_moebius_is_surface(self):
-        cls = cx.classify(cx.build_complex(cx.moebius_strip()))
+        cls = tp.classify(cx.build_complex(cx.moebius_strip()))
         assert cls.kind == "surface"
         assert len(cls.boundary) == 9
 
@@ -262,18 +261,18 @@ class TestSpheresAndClassify:
 class TestOrientation:
     def test_octahedron_orientable(self):
         c = cx.build_complex(cx.generate("octahedron"))
-        o = cx.orient_region(c, 2, c.simplices[2])
+        o = vc.orient_region(c, 2, c.simplices[2])
         assert set(o.signs.values()) <= {1, -1}
         assert o.boundary_signs == {}
 
     def test_moebius_not_orientable(self):
         c = cx.build_complex(cx.moebius_strip())
-        with pytest.raises(cx.NonOrientableError):
-            cx.orient_region(c, 2, c.simplices[2])
+        with pytest.raises(vc.NonOrientableError):
+            vc.orient_region(c, 2, c.simplices[2])
 
     def test_wheel_boundary_is_rim(self):
         c = cx.build_complex(cx.generate("wheel", 6))
-        o = cx.orient_region(c, 2, c.simplices[2])
+        o = vc.orient_region(c, 2, c.simplices[2])
         assert sorted(o.boundary_signs) == sorted(
             ((i, (i + 1) % 6) if i < (i + 1) % 6 else ((i + 1) % 6, i)) for i in range(6)
         )
@@ -281,7 +280,7 @@ class TestOrientation:
     def test_boundary_signs_form_consistent_cycle(self):
         # walking the wheel rim, each vertex appears once as head, once as tail
         c = cx.build_complex(cx.generate("wheel", 8))
-        o = cx.orient_region(c, 2, c.simplices[2])
+        o = vc.orient_region(c, 2, c.simplices[2])
         heads = []
         tails = []
         for (a, b), sign in o.boundary_signs.items():
@@ -298,11 +297,11 @@ class TestOrientation:
                 s for s in c.simplices[2] if not set(s) & set(region[0])
             )
         with pytest.raises(DomainError):
-            cx.orient_region(c, 2, region)
+            vc.orient_region(c, 2, region)
 
     def test_single_edge_region(self):
         c = cx.build_complex(cx.generate("path", 3))
-        o = cx.orient_region(c, 1, [(0, 1)])
+        o = vc.orient_region(c, 1, [(0, 1)])
         assert o.signs == {(0, 1): 1}
         assert o.boundary_signs == {(0,): -1, (1,): 1}
 
@@ -328,7 +327,7 @@ class TestOrientation:
         for n in range(40):
             c = ico if n % 2 else cx.build_complex(cx.generate("wheel", rng.randint(4, 9)))
             region = self.random_patch(rng, c)
-            o = cx.orient_region(c, 2, region)
+            o = vc.orient_region(c, 2, region)
             assert set(o.signs) == set(region)
             sums, incident = {}, {}
             for s in region:
@@ -339,15 +338,15 @@ class TestOrientation:
             for f, total in sums.items():
                 assert total == (o.boundary_signs[f] if incident[f] == 1 else 0)
             assert set(o.boundary_signs) == {f for f, m in incident.items() if m == 1}
-            assert fm.boundary_faces(c, 2, region) == sorted(o.boundary_signs)
+            assert vc.boundary_faces(c, 2, region) == sorted(o.boundary_signs)
 
 
 class TestLevelCurve:
     def test_octahedron_level_curve_is_cycle(self):
         c = cx.build_complex(cx.generate("octahedron"))
         f = {v: [0, 10, 3, 4, 5, 6][v] for v in range(6)}
-        curve = cx.level_curve(c, f, 3.5)
-        assert cx.is_cycle_graph(curve)
+        curve = tp.level_curve(c, f, 3.5)
+        assert tp.is_cycle_graph(curve)
 
     def test_icosahedron_random_cuts(self):
         c = cx.build_complex(cx.generate("icosahedron"))
@@ -357,7 +356,7 @@ class TestLevelCurve:
             rng.shuffle(values)
             f = {v: values[v] for v in range(12)}
             cut = rng.randint(0, 10) + 0.5
-            curve = cx.level_curve(c, f, cut)
+            curve = tp.level_curve(c, f, cut)
             if curve.vertex_count == 0:
                 continue
             # a disjoint union of cycles: every vertex has degree 2
@@ -366,9 +365,9 @@ class TestLevelCurve:
     def test_injectivity_required(self):
         c = cx.build_complex(cx.generate("octahedron"))
         with pytest.raises(DomainError):
-            cx.level_curve(c, {v: 1 for v in range(6)}, 0.5)
+            tp.level_curve(c, {v: 1 for v in range(6)}, 0.5)
 
     def test_cut_must_miss_values(self):
         c = cx.build_complex(cx.generate("octahedron"))
         with pytest.raises(DomainError):
-            cx.level_curve(c, {v: v for v in range(6)}, 3)
+            tp.level_curve(c, {v: v for v in range(6)}, 3)

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph
-from discalc import complexes as cx, evolution as ev, forms as fm
-from discalc.numcore import DomainError
+from discalc import DomainError, complexes as cx, evolution as ev, forms as fm, spectral as sp
 
 
 def complex_of(spec: str) -> cx.GraphComplex:
@@ -19,23 +18,23 @@ def complex_of(spec: str) -> cx.GraphComplex:
 
 class TestSymEigen:
     def test_c4_vertex_spectrum(self):
-        dec = ev.sym_eigen(fm.laplacian_block(complex_of("cycle:4"), 0))
+        dec = sp.sym_eigen(fm.laplacian_block(complex_of("cycle:4"), 0))
         assert np.allclose(dec.eigenvalues, [0, 2, 2, 4], atol=1e-10)
 
     def test_k2_dirac_spectrum(self):
-        dec = ev.sym_eigen(fm.dirac(complex_of("complete:2")))
+        dec = sp.sym_eigen(fm.dirac(complex_of("complete:2")))
         assert np.allclose(dec.eigenvalues, [-math.sqrt(2), 0, math.sqrt(2)], atol=1e-10)
 
     def test_deterministic(self):
         m = fm.laplacian(complex_of("octahedron"))
-        a = ev.sym_eigen(m)
-        b = ev.sym_eigen(m)
+        a = sp.sym_eigen(m)
+        b = sp.sym_eigen(m)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
-            ev.sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            sp.sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("corrupt", [
         lambda w, q: (w, 2 * q),
@@ -46,16 +45,16 @@ class TestSymEigen:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: corrupt(*eigh(a)))
         with pytest.raises(ArithmeticError):
-            ev.sym_eigen(fm.laplacian_block(complex_of("cycle:4"), 0))
+            sp.sym_eigen(fm.laplacian_block(complex_of("cycle:4"), 0))
 
     def test_kernel_eigenvalues_exactly_zero(self):
         for spec in ("cycle:5", "octahedron", "annulus:2"):
-            dec = ev.sym_eigen(fm.dirac(complex_of(spec)))
+            dec = sp.sym_eigen(fm.dirac(complex_of(spec)))
             assert dec.kernel.any() and (dec.eigenvalues[dec.kernel] == 0.0).all()
 
     def test_reconstruct(self):
         m = fm.laplacian_block(complex_of("wheel:5"), 1).data.astype(float)
-        dec = ev.sym_eigen(m)
+        dec = sp.sym_eigen(m)
         assert np.abs(dec.reconstruct() - m).max() < 1e-9
 
 
@@ -155,7 +154,7 @@ class TestWaveFlow:
         # velocity w(t) = P_ker f0 + cos(sqrt(2) t) (f0 - P_ker f0)
         c = complex_of("complete:2")
         f0 = np.array([1.0, -2.0, 0.5])
-        dec = ev.sym_eigen(fm.dirac(c))
+        dec = sp.sym_eigen(fm.dirac(c))
         kernel = dec.apply(dec.kernel, f0)
         for t in (0.0, 0.3, 1.7, 6.0):
             out = ev.wave_flow(c, f0, np.zeros(3), t)
@@ -219,22 +218,22 @@ class TestFeynmanPathSum:
                     power = d @ power
                 for start in range(n):
                     for end in range(n):
-                        assert ev.feynman_path_sum(d, start, end, steps) == power[end, start]
+                        assert sp.feynman_path_sum(d, start, end, steps) == power[end, start]
 
     def test_zero_steps(self):
         d = fm.dirac(complex_of("complete:2")).data
-        assert ev.feynman_path_sum(d, 0, 0, 0) == 1
-        assert ev.feynman_path_sum(d, 0, 1, 0) == 0
+        assert sp.feynman_path_sum(d, 0, 0, 0) == 1
+        assert sp.feynman_path_sum(d, 0, 1, 0) == 0
 
     def test_bounds(self):
         d = fm.dirac(complex_of("complete:2")).data
         with pytest.raises(DomainError):
-            ev.feynman_path_sum(d, 0, 0, 9)
+            sp.feynman_path_sum(d, 0, 0, 9)
         with pytest.raises(DomainError):
-            ev.feynman_path_sum(d, 0, 0, -1)
+            sp.feynman_path_sum(d, 0, 0, -1)
         big = fm.dirac(complex_of("icosahedron")).data
         with pytest.raises(DomainError):
-            ev.feynman_path_sum(big, 0, 0, 2)
+            sp.feynman_path_sum(big, 0, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ class TestDenseOracle:
     def test_heat_every_degree(self, c, data):
         k = data.draw(st.integers(0, c.top_dim))
         v, t = data.draw(vectors(c.count(k))), data.draw(TIMES)
-        dec = ev.sym_eigen(fm.laplacian_block(c, k))
+        dec = sp.sym_eigen(fm.laplacian_block(c, k))
         e = scale_of(v)
         u = at_scale(v, e)
         result = outcome(lambda: ev.heat_flow(c, k, fm.Form(c, k, v), t).values)
@@ -329,7 +328,7 @@ class TestDenseOracle:
     @given(c=clique_complexes(), data=st.data())
     def test_schrodinger(self, c, data):
         v, t = data.draw(vectors(fm.total_dim(c))), data.draw(TIMES)
-        dec = ev.sym_eigen(fm.dirac(c))
+        dec = sp.sym_eigen(fm.dirac(c))
         e = scale_of(v)
         u = at_scale(v, e)
         result = outcome(lambda: ev.schrodinger_flow(c, v, t))
@@ -347,7 +346,7 @@ class TestDenseOracle:
             with pytest.raises(OverflowError):
                 ev.wave_flow(c, f, g, t)
             return
-        dec = ev.sym_eigen(d)
+        dec = sp.sym_eigen(d)
         w = dec.eigenvalues
         e = scale_of(f, gf)
         fu, gu = at_scale(f, e), at_scale(gf, e)
@@ -373,7 +372,7 @@ class TestDenseOracle:
                 ev.poisson_maxwell(c, fm.Form(c, 1, []))
             return
         # j = d1* B plus a multiple of a harmonic 1-form: divergence-free
-        dec = ev.sym_eigen(fm.laplacian_block(c, 1))
+        dec = sp.sym_eigen(fm.laplacian_block(c, 1))
         B, w = data.draw(vectors(c.count(2))), data.draw(vectors(c.count(1)))
         harmonic = data.draw(st.sampled_from([0.0, 1e-12, 1.0])) * dec.apply(dec.kernel, at_scale(w, scale_of(w)))
         j = [Fraction(h) for h in harmonic.tolist()]
@@ -420,7 +419,7 @@ class TestDenseOracle:
                 for f, s in row.items():
                     j[f] += s * b
             A, F = ev.poisson_maxwell(c, fm.Form(c, 1, j))
-            dec = ev.sym_eigen(fm.laplacian_block(c, 1))
+            dec = sp.sym_eigen(fm.laplacian_block(c, 1))
             dense = dec.apply(pinv_spectrum(dec), np.asarray(j, dtype=float))
             assert np.abs(np.asarray(A.values) - dense).max() <= 1e-11 * (1 + max(map(abs, j))), spec
 
@@ -430,7 +429,7 @@ class TestDenseOracle:
         for spec in ("hexpatch:5", "annulus:3"):
             c = complex_of(spec)
             d = fm.dirac(c)
-            dec = ev.sym_eigen(d)
+            dec = sp.sym_eigen(d)
             w = dec.eigenvalues
             for scale in (10 ** 4, 10 ** 8):
                 g = [sum(a * scale * (k % 7 - 3) for k, a in row.items()) for row in d.rows]
@@ -447,7 +446,7 @@ class TestDenseOracle:
         t = side * ev.DENSE_CROSSOVER / norm
         rng = random.Random(9)
         v = [rng.uniform(-5, 5) for _ in range(op.shape[0])]
-        dec = ev.sym_eigen(op)
+        dec = sp.sym_eigen(op)
         if flow == "heat":
             got, dense = ev.heat_flow(c, 0, fm.Form(c, 0, v), t).values, dec.apply(np.exp(-t * dec.eigenvalues), v)
         else:
@@ -469,7 +468,8 @@ class TestDenseOracle:
             if "numpy" not in sys.modules:
                 raise SystemExit("numpy not loaded past the crossover")
             import numpy as np
-            dec = ev.sym_eigen(fm.laplacian_block(c, 0))
+            from discalc import spectral as sp
+            dec = sp.sym_eigen(fm.laplacian_block(c, 0))
             dense = dec.apply(np.exp(-t * dec.eigenvalues), np.asarray(f0.values, dtype=float))
             if out != tuple(dense.tolist()):
                 raise SystemExit(f"{out} is not the dense route's {dense}")
@@ -549,7 +549,7 @@ class TestOneScale:
                 j[f] += s * b
         source = data.draw(st.sampled_from(["in range", "harmonic", "divergence"]))
         if source == "harmonic":
-            dec = ev.sym_eigen(fm.laplacian_block(c, 1))
+            dec = sp.sym_eigen(fm.laplacian_block(c, 1))
             j = [a + b for a, b in zip(j, to_grid(dec.apply(dec.kernel, data.draw(grid_vectors(c.count(1))))))]
         elif source == "divergence":
             phi = data.draw(grid_vectors(c.count(0)))
@@ -568,7 +568,7 @@ class TestOneScale:
         n = 300
         c = cx.build_complex(cx.Graph(n, frozenset([(i, i + 1) for i in range(n - 1)]
                                                   + [(i, i + 2) for i in range(n - 2)])))
-        phi = ev.sym_eigen(fm.laplacian_block(c, 0)).eigenvectors[:, 1]
+        phi = sp.sym_eigen(fm.laplacian_block(c, 0)).eigenvectors[:, 1]
         d0 = fm.exterior_derivative(c, 0).data.astype(float)
         j = np.zeros(c.count(1))
         for i, row in enumerate(c.faces[2]):

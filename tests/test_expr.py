@@ -10,14 +10,15 @@ from discalc.expr import (
     Const,
     ExpBase,
     FallingPower,
+    Log,
     NoClosedFormError,
-    ParseError,
     PlainPower,
     Trig,
     make_product,
     make_sum,
 )
-from discalc.numcore import DomainError, Sequence
+from discalc import DomainError, ParseError
+from discalc.numcore import Sequence
 
 from conftest import exp_trig_rational
 
@@ -250,6 +251,14 @@ class TestDefiniteSum:
         lo, hi = 10**6, 10**6 + 100
         assert expr.definite_sum(expr.parse("x*2^x"), lo, hi) == (hi - 2) * 2**hi - (lo - 2) * 2**lo
 
+    def test_bit_budget_is_checked_before_any_term(self, monkeypatch):
+        # about 1035 terms of 690k bits each: refused from the tree, with no power built
+        calls = []
+        monkeypatch.setattr(expr, "evaluate", lambda node, x: calls.append(x))
+        with pytest.raises(DomainError, match="term bits"):
+            expr.definite_sum(expr.parse("x^68312*x^0*sin(2.x)"), 50, 1085)
+        assert calls == []
+
 
 # strategy for parseable, canonically constructed trees
 _atoms = st.one_of(
@@ -266,6 +275,15 @@ _products = st.one_of(
     ),
 )
 _trees = st.one_of(_products, st.lists(_products, min_size=1, max_size=4).map(make_sum))
+# atoms of the term-by-term sums: rational constants and bases, both signs of the trig frequency, log
+_bit_atoms = st.one_of(
+    _atoms,
+    st.tuples(st.integers(-20, 20), st.integers(1, 6)).map(lambda t: Const(Fraction(*t))),
+    st.tuples(st.integers(-6, 9), st.integers(1, 7)).map(lambda t: ExpBase(Fraction(*t))),
+    st.tuples(st.sampled_from(["sin", "cos"]), st.integers(-7, -1)).map(lambda t: Trig(*t)),
+    st.integers(7, 40).map(PlainPower),
+    st.just(Log()),
+)
 
 
 class TestRoundTrip:
@@ -293,6 +311,21 @@ class TestRoundTrip:
     def test_definite_sum_is_the_brute_force_sum(self, tree, lo, width):
         brute = sum(expr.evaluate(tree, k) for k in range(lo, lo + width))
         assert expr.definite_sum(tree, lo, lo + width) == brute
+
+    @given(st.lists(st.lists(_bit_atoms, min_size=1, max_size=3).map(make_product), min_size=1, max_size=3)
+           .map(make_sum), st.integers(-300, 300))
+    def test_value_bits_bound_the_term(self, tree, x):
+        # the bound definite_sum sums before building its terms: log2 of the numerator and denominator
+        try:
+            value = expr.evaluate(tree, x)
+        except (DomainError, OverflowError):  # log(x) at x <= 0, a power past MAX_RESULT_BITS, a float overflow
+            return
+        bound = expr._value_bits(tree, x)
+        if bound is None:
+            assert isinstance(value, float)
+        else:
+            value = Fraction(value)
+            assert value.numerator.bit_length() + value.denominator.bit_length() <= sum(bound) + 2
 
     def test_negative_exp_base_round_trip(self):
         node = ExpBase(Fraction(-2))

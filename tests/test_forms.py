@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from discalc import complexes as cx, evolution as ev, forms as fm, topology as tp
-from discalc.numcore import DomainError
+from discalc import DomainError, complexes as cx, evolution as ev, forms as fm, topology as tp, vector as vc
 
 from conftest import random_connected_graph, random_graph
 
@@ -103,7 +102,7 @@ class TestExteriorDerivative:
             fm.laplacian(c)
             fm.laplacian_block(c, 1)
             tp.betti(c)
-            fm.apply_d(random_form(random.Random(1), c, 1))
+            vc.apply_d(random_form(random.Random(1), c, 1))
             assert [[dict(row) for row in level] for level in c.faces] == snapshot
 
     def test_operators_are_int64(self):
@@ -159,7 +158,7 @@ class TestApplyD:
             for k in range(c.top_dim + 1):
                 values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(c.count(k))]
                 F = fm.Form(c, k, np.array(values, dtype=object))
-                dF = fm.apply_d(F)
+                dF = vc.apply_d(F)
                 assert dF.degree == k + 1
                 assert list(dF.values) == list(fm.exterior_derivative(c, k).data @ F.values)
 
@@ -170,14 +169,14 @@ class TestApplyD:
             c = cx.build_complex(cx.parse_generator(spec))
             for k in range(c.top_dim + 1):
                 values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(c.count(k))]
-                dF = fm.apply_d(fm.Form(c, k, values))
+                dF = vc.apply_d(fm.Form(c, k, values))
                 # the object product adds in ascending column order; @ on floats would go through BLAS
                 assert dF.values == tuple(fm.exterior_derivative(c, k).data @ np.array(values, dtype=object))
 
     def test_negative_degree_rejected(self):
         c = cx.build_complex(cx.generate("complete", 3))
         with pytest.raises(DomainError):
-            fm.apply_d(fm.Form(c, -1, np.zeros(0, dtype=object)))
+            vc.apply_d(fm.Form(c, -1, np.zeros(0, dtype=object)))
 
 
 class TestIntegration:
@@ -185,9 +184,9 @@ class TestIntegration:
         # int64 entries would wrap past 2^63; the form holds them as Python ints
         c = cx.build_complex(cx.generate("complete", 3))
         F = fm.Form(c, 1, np.array([2**62, -2**62, 2**62], dtype=np.int64))
-        total = fm.line_integral(F, [0, 1, 2])
+        total = vc.line_integral(F, [0, 1, 2])
         assert total == 2**63 and type(total) is int
-        lhs, rhs = fm.stokes_sides(c, c.simplices[2], F)
+        lhs, rhs = vc.stokes_sides(c, c.simplices[2], F)
         assert lhs == rhs == 3 * 2**62 and type(lhs) is int and type(rhs) is int
 
     def test_line_integral_of_gradient(self):
@@ -201,19 +200,19 @@ class TestIntegration:
             path = [rng.randrange(g.vertex_count)]
             for _ in range(rng.randint(1, 12)):
                 path.append(rng.choice(sorted(g.neighbors(path[-1]))))
-            assert fm.line_integral(F, path) == f[path[-1]] - f[path[0]]
+            assert vc.line_integral(F, path) == f[path[-1]] - f[path[0]]
 
     def test_edge_value_antisymmetry(self):
         c = cx.build_complex(cx.generate("cycle", 4))
         F = fm.Form(c, 1, np.array([3, -1, 5, 7], dtype=object))
         for a, b in c.graph.edges:
-            assert fm.edge_value(F, a, b) == -fm.edge_value(F, b, a)
+            assert vc.edge_value(F, a, b) == -vc.edge_value(F, b, a)
 
     def test_closed_loop_integral_zero_for_gradient(self):
         c = cx.build_complex(cx.generate("cycle", 5))
         f = [0, 3, 1, 4, 2]
         F = fm.Form(c, 1, fm.gradient(c).data @ np.array(f, dtype=object))
-        assert fm.line_integral(F, [0, 1, 2, 3, 4, 0]) == 0
+        assert vc.line_integral(F, [0, 1, 2, 3, 4, 0]) == 0
 
 
 class TestStokes:
@@ -222,7 +221,7 @@ class TestStokes:
         rng = random.Random(2)
         for _ in range(20):
             F = random_form(rng, c, 1)
-            assert fm.stokes_residual(c, c.simplices[2], F) == 0
+            assert vc.stokes_residual(c, c.simplices[2], F) == 0
 
     def test_random_icosahedron_patches(self):
         c = cx.build_complex(cx.generate("icosahedron"))
@@ -241,7 +240,7 @@ class TestStokes:
                     break
                 patch.append(rng.choice(frontier))
             F = random_form(rng, c, 1)
-            assert fm.stokes_residual(c, patch, F) == 0
+            assert vc.stokes_residual(c, patch, F) == 0
             done += 1
 
     def test_vertex_form_over_edge_path(self):
@@ -250,22 +249,22 @@ class TestStokes:
         rng = random.Random(4)
         f = fm.Form(c, 0, np.array([rng.randint(-9, 9) for _ in range(6)], dtype=object))
         region = c.simplices[1]
-        assert fm.stokes_residual(c, region, f) == 0
+        assert vc.stokes_residual(c, region, f) == 0
 
     def test_gauss_on_solid_ball(self):
         # cone over the octahedron: eight tetrahedra filling a 3-ball
         g = cone(cx.generate("octahedron"))
         c = cx.build_complex(g)
         assert c.count(3) == 8
-        assert cx.classify(c).kind == "solid"
+        assert tp.classify(c).kind == "solid"
         rng = random.Random(5)
         for _ in range(20):
             F = random_form(rng, c, 2)
-            assert fm.stokes_residual(c, c.simplices[3], F) == 0
+            assert vc.stokes_residual(c, c.simplices[3], F) == 0
 
     def test_boundary_faces_mod2(self):
         c = cx.build_complex(cx.generate("wheel", 6))
-        faces = fm.boundary_faces(c, 2, c.simplices[2])
+        faces = vc.boundary_faces(c, 2, c.simplices[2])
         assert sorted(faces) == sorted(
             tuple(sorted((i, (i + 1) % 6))) for i in range(6)
         )
@@ -274,21 +273,21 @@ class TestStokes:
                              ids=["not-a-triangle", "vertex-out-of-range", "degree-past-top"])
     def test_boundary_faces_outside_complex_rejected(self, k, region):
         with pytest.raises(DomainError):
-            fm.boundary_faces(cx.build_complex(cx.generate("wheel", 6)), k, region)
+            vc.boundary_faces(cx.build_complex(cx.generate("wheel", 6)), k, region)
 
 
 class TestProducts:
     def test_dot_and_length(self):
         c = cx.build_complex(cx.generate("complete", 3))
         F = fm.Form(c, 1, np.array([1, 2, 2], dtype=object))
-        assert fm.dot_at_vertex(F, F, 0) == 1 + 4
-        assert fm.form_length(F, 0) == pytest.approx(5 ** 0.5)
+        assert vc.dot_at_vertex(F, F, 0) == 1 + 4
+        assert vc.form_length(F, 0) == pytest.approx(5 ** 0.5)
 
     def test_angle_of_orthogonal_forms(self):
         c = cx.build_complex(cx.generate("complete", 3))
         F = fm.Form(c, 1, np.array([1, 0, 0], dtype=object))
         G = fm.Form(c, 1, np.array([0, 1, 0], dtype=object))
-        assert fm.form_angle(F, G, 0) == pytest.approx(np.pi / 2)
+        assert vc.form_angle(F, G, 0) == pytest.approx(np.pi / 2)
 
     def test_cross_antisymmetry(self):
         c = cx.build_complex(cx.generate("complete", 4))
@@ -296,8 +295,8 @@ class TestProducts:
         F = random_form(rng, c, 1)
         G = random_form(rng, c, 1)
         for tri in c.simplices[2]:
-            assert fm.cross_on_triangle(F, G, tri) == -fm.cross_on_triangle(G, F, tri)
-            assert fm.cross_on_triangle(F, F, tri) == 0
+            assert vc.cross_on_triangle(F, G, tri) == -vc.cross_on_triangle(G, F, tri)
+            assert vc.cross_on_triangle(F, F, tri) == 0
 
     def test_gradient_cross_magnitude_anchor_independent(self):
         # for exact forms df x dg is a 2x2 determinant of differences, so its
@@ -313,7 +312,7 @@ class TestProducts:
             for tri in c.simplices[2]:
                 x, y, z = tri
                 values = {
-                    abs(fm.cross_on_triangle(F, G, anchor))
+                    abs(vc.cross_on_triangle(F, G, anchor))
                     for anchor in ((x, y, z), (y, z, x), (z, x, y))
                 }
                 assert len(values) == 1
@@ -323,9 +322,9 @@ class TestProducts:
         rng = random.Random(8)
         F, G, H = (random_form(rng, c, 1) for _ in range(3))
         tet = (0, 1, 2, 3)
-        base = fm.triple_product(F, G, H, tet)
-        assert fm.triple_product(G, F, H, tet) == -base
-        assert fm.triple_product(F, F, H, tet) == 0
+        base = vc.triple_product(F, G, H, tet)
+        assert vc.triple_product(G, F, H, tet) == -base
+        assert vc.triple_product(F, F, H, tet) == 0
 
     def test_triple_product_permutation_oracle(self):
         # determinant = signed sum over permutations of edge values
@@ -341,10 +340,10 @@ class TestProducts:
             return -1 if inv % 2 else 1
 
         oracle = sum(
-            parity(p) * np.prod([fm.edge_value(forms[i], x, cols[p[i]]) for i in range(3)])
+            parity(p) * np.prod([vc.edge_value(forms[i], x, cols[p[i]]) for i in range(3)])
             for p in itertools.permutations(range(3))
         )
-        assert fm.triple_product(F, G, H, (x, y, z, w)) == oracle
+        assert vc.triple_product(F, G, H, (x, y, z, w)) == oracle
 
 
 class TestAscentAndPotential:
@@ -355,7 +354,7 @@ class TestAscentAndPotential:
             c = cx.build_complex(g)
             f = {v: rng.random() for v in range(g.vertex_count)}
             start = rng.randrange(g.vertex_count)
-            path = fm.gradient_ascent(c, f, start)
+            path = vc.gradient_ascent(c, f, start)
             end = path[-1]
             assert all(f[w] <= f[end] for w in g.neighbors(end))
             # values strictly increase along the path
@@ -364,10 +363,10 @@ class TestAscentAndPotential:
     def test_directional_derivative(self):
         c = cx.build_complex(cx.generate("cycle", 4))
         f = {0: 1, 1: 5, 2: 2, 3: 0}
-        assert fm.directional_derivative(c, f, (0, 1)) == 4
-        assert fm.directional_derivative(c, f, (1, 0)) == -4
+        assert vc.directional_derivative(c, f, (0, 1)) == 4
+        assert vc.directional_derivative(c, f, (1, 0)) == -4
         with pytest.raises(DomainError):
-            fm.directional_derivative(c, f, (0, 2))
+            vc.directional_derivative(c, f, (0, 2))
 
     def test_potential_recovers_function(self):
         rng = random.Random(11)
@@ -376,15 +375,15 @@ class TestAscentAndPotential:
             c = cx.build_complex(g)
             f = [rng.randint(-20, 20) for _ in range(g.vertex_count)]
             F = fm.Form(c, 1, fm.gradient(c).data @ np.array(f, dtype=object))
-            got = fm.potential(c, F)
+            got = vc.potential(c, F)
             assert all(got[v] == f[v] - f[0] for v in range(g.vertex_count))
 
     def test_potential_rejects_circulation(self):
         c = cx.build_complex(cx.generate("cycle", 4))
         F = fm.Form(c, 1, np.array([1, -1, 1, 1], dtype=object))
         # edges (0,1),(0,3),(1,2),(2,3): circulation 1+1+1+1 around the loop
-        with pytest.raises(fm.NotGradientFieldError) as err:
-            fm.potential(c, F)
+        with pytest.raises(vc.NotGradientFieldError) as err:
+            vc.potential(c, F)
         witness = err.value.witness
         # witness is a closed walk along graph edges
         assert witness[0] == witness[-1]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from discalc import expr, interpolate as ip
-from discalc.numcore import DomainError, Sequence, falling_power
+from discalc import DomainError
+from discalc.numcore import Sequence, falling_power
 
 
 class TestForwardDifferences:

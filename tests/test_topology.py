@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from discalc import complexes as cx, forms as fm, topology as tp
-from discalc.numcore import DomainError
+from discalc import DomainError, complexes as cx, forms as fm, topology as tp
 
 from conftest import random_connected_graph, random_graph
 
@@ -144,13 +143,13 @@ class TestCurvature:
         for spec in ("octahedron", "icosahedron"):
             c = complex_of(spec)
             for x in range(c.graph.vertex_count):
-                sphere = cx.unit_sphere(c, x)
-                assert cx.is_cycle_graph(sphere, min_len=3)
+                sphere = tp.unit_sphere(c, x)
+                assert tp.is_cycle_graph(sphere, min_len=3)
                 assert tp.curvature(c, x) == 1 - Fraction(sphere.vertex_count, 6)
 
     def test_flat_interior(self):
         c = cx.build_complex(cx.hex_patch(2))
-        cls = cx.classify(c)
+        cls = tp.classify(c)
         for x in range(c.graph.vertex_count):
             if x not in cls.boundary:
                 assert tp.curvature(c, x) == 0
@@ -164,7 +163,7 @@ class TestCurvature:
             c = cx.build_complex(g)
             want = []
             for x in range(g.vertex_count):
-                counts = cx.build_complex(cx.unit_sphere(c, x)).counts()
+                counts = cx.build_complex(tp.unit_sphere(c, x)).counts()
                 want.append(1 + sum(Fraction((-1) ** (k + 1) * v, k + 2) for k, v in enumerate(counts)))
             assert tp.curvature_vector(c) == tuple(want)
             assert [tp.curvature(c, x) for x in range(g.vertex_count)] == want
@@ -299,12 +298,12 @@ def sphere_route(c: cx.GraphComplex, f, x: int) -> tuple:
     if sub.vertex_count == 0:
         return 1, "min"
     i = 1 - tp.euler_characteristic(cx.build_complex(sub))
-    if cx.is_cycle_graph(sub, min_len=3):
+    if tp.is_cycle_graph(sub, min_len=3):
         return i, "max"
     if i == -2:
         return i, "monkey"
     if i < 0:
-        return i, f"saddle({len(cx.connected_components(sub))})"
+        return i, f"saddle({len(tp.connected_components(sub))})"
     return i, "regular" if i == 0 else "critical"
 
 
