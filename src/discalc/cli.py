@@ -8,32 +8,28 @@ against their classical counterparts.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import DomainError, ParseError
 
 # Each subcommand imports the library modules it runs, and a reader of exact input imports fractions:
-# a graph command loads neither numcore nor forms, and only a `pde` flow past
-# evolution.DENSE_CROSSOVER loads discalc.spectral and numpy.  The annotations name modules
-# without importing them.
+# a scalar command loads no graph module, a graph command loads neither numcore nor forms, and only a
+# `pde` flow past evolution.DENSE_CROSSOVER loads discalc.spectral and numpy.  The graph, forms and pde
+# handlers live in discalc.graphcli.  argparse is loaded only for a command line that _read_argv declines.
+# The annotations name modules without importing them.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from . import complexes as cx
+    import argparse
+
     from . import forms
     from .numcore import Sequence
 
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def fmt(value) -> str:
@@ -57,10 +53,12 @@ def fmt(value) -> str:
 
 
 def _finite(text: str) -> float:
-    """A float that is neither infinite nor nan."""
+    """A float that is neither infinite nor nan; argparse, whose error names the failure, is imported to raise it."""
     value = float(text)
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"{text!r} is not a finite number")
     return value
 
 
@@ -70,7 +68,11 @@ def _parsed(kind, text, where: str):
         return kind(text)
     except DomainError:
         raise
-    except (ValueError, KeyError, TypeError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
+    except Exception as exc:
+        from argparse import ArgumentTypeError  # what _finite raises; loaded here only on a failing read
+
+        if not isinstance(exc, (ValueError, KeyError, TypeError, ZeroDivisionError, ArgumentTypeError)):
+            raise
         raise UsageError(f"cannot read {where}: {type(exc).__name__}: {exc}") from None
 
 
@@ -92,80 +94,12 @@ def _csv_rows(path: str, header: str, width: int):
             raise UsageError(str(exc)) from None
 
 
-def _load_graph(args) -> cx.Graph:
-    from . import complexes as cx
-
-    if args.gen:
-        return _parsed(cx.parse_generator, args.gen, "--gen")
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return _parsed(cx.Graph.from_json, fh.read(), args.file)
-    raise UsageError("need --gen NAME[:N] or --file PATH")
-
-
 def _rational(text: str):
     """The exact rational that text spells (3, -2/3, 1e-11).  fractions is imported here, by the first
     exact value a command reads, so a command that reads none never loads it."""
     from fractions import Fraction
 
     return Fraction(text)
-
-
-def _load_vertex_fn(path: str, n: int) -> list:
-    values = [None] * n
-    for row in _csv_rows(path, "vertex", 2):
-        v = _parsed(int, row[0], path)
-        if not 0 <= v < n:
-            raise DomainError(f"vertex {v} out of range")
-        if values[v] is not None:
-            raise DomainError(f"vertex {v} given twice")
-        values[v] = _parsed(_rational, row[1], path)
-    if any(v is None for v in values):
-        raise DomainError("function file does not cover every vertex")
-    return values
-
-
-def _parse_simplex(text: str) -> tuple:
-    simplex = tuple(int(p) for p in text.split("-"))
-    if list(simplex) != sorted(set(simplex)):
-        raise ValueError(f"simplex {text!r} is not in ascending vertex order")
-    return simplex
-
-
-def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
-    """(degree, position in c.simplices[degree], value) for each row."""
-    rows, seen = [], set()
-    for row in _csv_rows(path, "degree", 3):
-        d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
-        value = _parsed(_rational if "/" in row[2] or "." not in row[2] else _finite, row[2], path)
-        rows.append((d, c.positions(d, [simplex])[0], value))
-        if simplex in seen:
-            raise DomainError(f"simplex {_simplex_name(simplex)} given twice")
-        seen.add(simplex)
-    return rows
-
-
-def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
-    from . import forms
-
-    if not 0 <= degree <= c.top_dim:
-        raise DomainError(f"the complex has no {degree}-simplices")
-    values = [0] * c.count(degree)
-    for d, i, value in _load_form_rows(path, c):
-        if d != degree:
-            raise DomainError(f"expected degree-{degree} rows, found degree {d}")
-        values[i] = value
-    return forms.Form(c, degree, values)
-
-
-def _load_state_vector(path: str, c: cx.GraphComplex) -> list:
-    from . import forms
-
-    offsets = forms.block_offsets(c)
-    vec = [0.0] * forms.total_dim(c)
-    for d, i, value in _load_form_rows(path, c):
-        vec[offsets[d] + i] = float(value)
-    return vec
 
 
 def _load_samples(path: str) -> Sequence:
@@ -185,10 +119,6 @@ def _load_samples(path: str) -> Sequence:
     if [x for x, _ in pairs] != list(range(base, base + len(pairs))):
         raise DomainError("samples must cover consecutive integers")
     return Sequence(base, tuple(v for _, v in pairs))
-
-
-def _simplex_name(simplex: tuple) -> str:
-    return "-".join(str(v) for v in simplex)
 
 
 def _print_matrix(op: forms.OperatorMatrix, out):
@@ -226,7 +156,6 @@ def cmd_sum(args, out):
 
 
 def cmd_taylor(args, out):
-    from . import expr
     from . import interpolate as ip
     from .numcore import Sequence
 
@@ -239,112 +168,28 @@ def cmd_taylor(args, out):
         table = ip.forward_differences(Sequence(0, samples.values))
         out.write(fmt(ip.newton_gregory_eval(table, args.eval - samples.base)) + "\n")
     if print_form:
+        from . import expr  # only the fitted form is an expression: --eval alone never loads the language
+
         out.write(expr.to_string(ip.interpolate_fit(samples)) + "\n")
     return 0
 
 
 def cmd_graph(args, out):
-    from . import complexes as cx
-    from . import topology as tp
+    from . import graphcli
 
-    g = _load_graph(args)
-    c = cx.build_complex(g)
-    if args.action == "info":
-        counts = c.counts()
-        out.write("counts: " + " ".join(str(v) for v in counts) + "\n")
-        out.write(f"chi: {tp.euler_characteristic(c)}\n")
-        return 0
-    if args.action == "betti":
-        out.write("betti: " + " ".join(str(b) for b in tp.betti(c)) + "\n")
-        return 0
-    if args.action == "curvature":
-        curvatures = tp.curvature_vector(c)
-        out.write("vertex,curvature\n")
-        out.writelines(f"{v},{fmt(k)}\n" for v, k in enumerate(curvatures))
-        out.write(f"total,{fmt(sum(curvatures))}\n")
-        return 0
-    if args.action == "indices":
-        f = _load_vertex_fn(args.fn, g.vertex_count) if args.fn else list(range(g.vertex_count))
-        report = tp.poincare_hopf(c, f)
-        out.write("vertex,index,class,curvature\n")
-        for v, k in enumerate(tp.curvature_vector(c)):
-            out.write(f"{v},{report.indices[v]},{report.classes[v]},{fmt(k)}\n")
-        out.write(f"total,{report.total},,\n")
-        return 0
-    cls = tp.classify(c)  # classify, the last action argparse admits
-    boundary = " ".join(str(v) for v in cls.boundary)
-    out.write(f"kind: {cls.kind}\n")
-    out.write(f"boundary: {boundary}\n")
-    out.write(f"flat: {'yes' if cls.flat else 'no'}\n")
-    return 0
+    return graphcli.cmd_graph(args, out)
 
 
 def cmd_forms(args, out):
-    from . import complexes as cx
-    from . import forms
+    from . import graphcli
 
-    g = _load_graph(args)
-    c = cx.build_complex(g)
-    if args.action == "dirac":
-        _print_matrix(forms.dirac(c), out)
-        return 0
-    if args.action == "laplacian":
-        if args.degree is not None:
-            _print_matrix(forms.laplacian_block(c, args.degree), out)
-        else:
-            _print_matrix(forms.laplacian(c), out)
-        return 0
-    if args.action == "stokes":
-        if not args.form:
-            raise UsageError("stokes needs --form PATH")
-        degree = args.degree if args.degree is not None else 1
-        if not 0 <= degree < c.top_dim:
-            raise DomainError(f"stokes needs a degree from 0 to {c.top_dim - 1}")
-        from . import vector
-
-        F = _load_form(args.form, c, degree)
-        lhs, rhs = vector.stokes_sides(c, list(c.simplices[degree + 1]), F)
-        out.write(f"surface_integral: {fmt(lhs)}\n")
-        out.write(f"boundary_integral: {fmt(rhs)}\n")
-        out.write(f"residual: {fmt(lhs - rhs)}\n")
-        return 0
-    from . import evolution as ev  # poisson, the last action argparse admits
-
-    if not args.current:
-        raise UsageError("poisson needs --current PATH")
-    A, F = ev.poisson_maxwell(c, _load_form(args.current, c, 1))
-    out.write("degree,simplex,value\n")
-    for i, s in enumerate(c.simplices[1]):
-        out.write(f"1,{_simplex_name(s)},{fmt(float(A.values[i]))}\n")
-    for i, s in enumerate(c.simplices[2] if c.top_dim >= 2 else ()):
-        out.write(f"2,{_simplex_name(s)},{fmt(float(F.values[i]))}\n")
-    return 0
+    return graphcli.cmd_forms(args, out)
 
 
 def cmd_pde(args, out):
-    from . import complexes as cx
-    from . import evolution as ev
-    from . import forms
+    from . import graphcli
 
-    c = cx.build_complex(_load_graph(args))
-
-    def write_state(degrees, vec):
-        out.write("t,simplex,value\n")
-        names = (f"{k}:{_simplex_name(s)}" for k in degrees for s in c.simplices[k])
-        for name, value in zip(names, vec):
-            out.write(f"{fmt(args.t)},{name},{fmt(value)}\n")
-
-    if args.action == "heat":
-        degree = args.degree if args.degree is not None else 0
-        write_state([degree], ev.heat_flow(c, degree, _load_form(args.form, c, degree), args.t).values)
-        return 0
-    if args.action == "schrodinger":
-        write_state(range(c.top_dim + 1), ev.schrodinger_flow(c, _load_state_vector(args.form, c), args.t))
-        return 0
-    f0 = _load_state_vector(args.form, c)  # wave, the last action argparse admits
-    g0 = _load_state_vector(args.velocity, c) if args.velocity else [0.0] * forms.total_dim(c)
-    write_state(range(c.top_dim + 1), ev.wave_flow(c, f0, g0, args.t))
-    return 0
+    return graphcli.cmd_pde(args, out)
 
 
 def cmd_plot(args, out):
@@ -418,12 +263,90 @@ _SUBCOMMANDS = {
 }
 
 
+class _Arguments:
+    """The arguments of one command line as attributes, like the namespace argparse returns."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
+
+
+def _negative_number(word: str) -> bool:
+    """word is -N, -N.N or -.N in ASCII digits: a strict subset of the words argparse reads as a negative
+    number, so as a value and not an option, in a parser with no option that looks like one."""
+    if not (word.startswith("-") and word.isascii()):
+        return False
+    whole, dot, fraction = word[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdigit()) and fraction.isdigit()
+    return whole.isdigit()
+
+
+def _read_argv(argv: list) -> _Arguments | None:
+    """The arguments of a plain command line, read by the table _SUBCOMMANDS; None when argparse must read it.
+
+    A plain command line is a command word, then its positional argument and its options, by their exact
+    names, as ``--opt value`` or ``--opt=value``, in any order.  Each value is converted by its ``type`` and
+    must be one of its ``choices``; an option given twice keeps its last value, as in argparse.  A separate
+    value may start with ``-`` only as a plain negative number.  Anything else is None: help, ``--``, an
+    abbreviation, an unknown word, a second positional, a failed conversion, a value outside the choices or a
+    missing required argument.  argparse reads those, so help and every usage error keep its text."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    values, options, required, given, positional = {"command": argv[0]}, {}, set(), set(), None
+    for (name,), spec in _SUBCOMMANDS[argv[0]][1]:
+        dest = spec.get("dest", name.lstrip("-"))
+        if not name.startswith("-"):
+            positional = dest, spec
+            required.add(dest)
+            continue
+        options[name] = dest, spec
+        values[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+        if spec.get("required"):
+            required.add(dest)
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-") and not _negative_number(word):
+            name, eq, text = word.partition("=")
+            if name not in options:  # help, '--', an abbreviation or an unknown option
+                return None
+            dest, spec = options[name]
+            if spec.get("action") == "store_true":
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                text = next(words, None)
+                if text is None or (text.startswith("-") and not _negative_number(text)):
+                    return None
+        elif positional is None or positional[0] in given:
+            return None
+        else:
+            (dest, spec), text = positional, word
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except Exception:  # argparse reports the failure in its own words
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+        given.add(dest)
+    return _Arguments(values) if required <= given else None
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with only the subparser of ``command`` when that names a subcommand, else with all of them.
 
+    Only a command line that _read_argv declines reaches argparse: help, abbreviations and every usage error.
     An argv whose first word is a subcommand parses the same either way: everything after that word
     goes to its subparser.  Any other argv (none, ``-h``, an unknown command) needs every subparser,
     for the command list in the help and in the error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="discalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _SUBCOMMANDS.items():
@@ -461,9 +384,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv: list) -> int:
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
         code = _COMMANDS[args.command](args, sys.stdout)
         sys.stdout.flush()
         return code

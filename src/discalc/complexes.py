@@ -12,7 +12,6 @@ orientations in ``discalc.vector``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
 
 from . import DomainError, record
 
@@ -39,7 +38,7 @@ class Graph:
 
     vertex_count: int
     edges: frozenset
-    labels: Optional[tuple] = None
+    labels: tuple | None = None
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -225,7 +224,7 @@ def moebius_strip() -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def generate(name: str, n: Optional[int] = None) -> Graph:
+def generate(name: str, n: int | None = None) -> Graph:
     """Standard graph families; fixed tables for the named polyhedra.
 
     ``linear`` follows the n+1-vertices convention; ``path`` takes an

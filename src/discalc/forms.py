@@ -15,11 +15,11 @@ the Poisson/Maxwell solve in ``discalc.evolution``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from . import DomainError, record
 from .complexes import GraphComplex
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import DomainError, expr, record
+from . import DomainError, record
 from .numcore import Sequence, binomial_exact, diff
 
 
@@ -59,5 +59,7 @@ def interpolate_fit(samples: Sequence):
     Returns an expression tree (see :mod:`discalc.expr`); its evaluation
     agrees with the samples exactly for integer/rational data.
     """
+    from . import expr  # the one function here that builds an expression: evaluation never loads the language
+
     table = forward_differences(samples)
     return expr.from_difference_table(table.coeffs)

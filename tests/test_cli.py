@@ -374,6 +374,8 @@ class TestFrontDoor:
         (("graph", "info", "--gen", "complete:30"), {}, 2),
         (("graph", "info", "--gen", "hexpatch:100000"), {}, 2),
         (("graph", "info", "--file", "{g}"), {"g": '{"vertices": 10000000000, "edges": []}'}, 2),
+        # 10 513^2 cells, past graphcli.MAX_PRINTED_CELLS: refused before any row is built or printed
+        (("forms", "dirac", "--gen", "hexpatch:24"), {}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "file-bool-vertex-count",
             "file-bool-endpoint", "simplex-descending",
             "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
@@ -389,7 +391,7 @@ class TestFrontDoor:
             "stokes-non-orientable", "poisson-harmonic-current", "poisson-tiny-divergence",
             "wave-tiny-harmonic-velocity", "fn-vertex-twice", "form-simplex-twice",
             "taylor-print-unanchored", "samples-field-past-csv-limit", "complete-past-simplex-bound",
-            "hexpatch-past-vertex-bound", "file-past-vertex-bound"])
+            "hexpatch-past-vertex-bound", "file-past-vertex-bound", "dirac-past-printed-cells"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -424,15 +426,17 @@ class TestFrontDoor:
 
     def test_scalar_modules_leave_numpy_unloaded(self):
         code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate, discalc.complexes, "
-                "discalc.topology, discalc.forms, discalc.vector, discalc.evolution, discalc.cli\n"
+                "discalc.topology, discalc.forms, discalc.vector, discalc.evolution, discalc.cli, discalc.graphcli\n"
                 "for m in ('numpy', 'dataclasses'):\n"
                 "    if m in sys.modules: raise SystemExit(m + ' imported by a plain-Python module')")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
 
     def test_cli_import_loads_no_library_module(self):
-        # every library module is imported by the subcommand that runs it
-        code = "import sys, discalc.cli\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('discalc'))))"
+        # every library module is imported by the subcommand that runs it, and argparse by a command line
+        # that the reader declines
+        code = ("import sys, discalc.cli\n"
+                "print(' '.join(sorted(m for m in sys.modules if m.startswith('discalc') or m == 'argparse')))")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.split() == ["discalc", "discalc.cli"]
@@ -468,14 +472,19 @@ class TestFrontDoor:
         reads_exact = any(a in ("{s}", "{f}", "{w}", "{h}", "{j}", "{v}") for a in args)
         reads_file = reads_exact or "{x}" in args
         # json is imported only by Graph.to_json and Graph.from_json, which a --gen graph never calls; csv only
-        # by the reader of an input file, and discalc.plot only by plot
-        unloaded = ["numpy", "dataclasses", "json", "discalc.spectral"]
+        # by the reader of an input file, and discalc.plot only by plot.  argparse, with the gettext and locale
+        # it loads, only reads a command line the reader declines, and none of these is declined
+        unloaded = ["numpy", "dataclasses", "json", "discalc.spectral", "argparse", "gettext", "locale"]
         if not reads_file:
             unloaded.append("csv")
         if args[0] != "plot":
             unloaded.append("discalc.plot")
         if args[0] in ("graph", "forms", "pde"):
             unloaded.append("discalc.numcore")
+        else:
+            unloaded.append("discalc.graphcli")
+        if args[0] == "taylor" and "--print" not in args:
+            unloaded.append("discalc.expr")  # only the printed form is an expression
         if args[:2] != ("forms", "stokes"):
             unloaded.append("discalc.vector")
         # fractions is loaded by the first exact value read (every input file here but {x} has one), by the
@@ -521,8 +530,14 @@ class TestFrontDoor:
         for line, names in imported_modules(module):
             assert "dataclasses" not in names, f"{module}.py line {line} imports dataclasses"
 
-    @pytest.mark.parametrize("module", ["cli", "numcore", "expr", "interpolate", "__init__", "complexes", "topology",
-                                        "plot", "evolution", "vector"])
+    @pytest.mark.parametrize("module", sorted(p.stem for p in Path(discalc.__file__).parent.glob("*.py")))
+    def test_no_module_imports_typing(self, module):
+        # TYPE_CHECKING = False stands in for typing's, so no command pays for typing where site does not load it
+        for line, names in imported_modules(module):
+            assert "typing" not in names, f"{module}.py line {line} imports typing"
+
+    @pytest.mark.parametrize("module", ["cli", "graphcli", "numcore", "expr", "interpolate", "__init__", "complexes",
+                                        "topology", "plot", "evolution", "vector"])
     def test_import_boundary_names_no_numpy(self, module):
         # read, not imported: cli.py reaches numpy only through discalc.spectral, past the crossover of evolution
         for line, names in imported_modules(module):
@@ -780,6 +795,63 @@ class TestOneSubparser:
         assert listing in r.stdout + r.stderr
         # argparse prints no usage line for a missing command, but that parser too holds all seven
         assert "{eval,sum,taylor,graph,forms,pde,plot}" in cli.build_parser(*argv).format_usage()
+
+
+class TestArgvReader:
+    # main reads a plain command line with cli._read_argv and hands argparse only what that declines
+
+    @settings(max_examples=300, derandomize=True)
+    @given(case=cli_cases())
+    def test_reader_matches_argparse(self, case):
+        argv, files = case
+        argv = [a.format(dir="/nonexistent", **{name: f"/nonexistent/{name}" for name in files}) for a in argv]
+        args = cli._read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser(argv[0]).parse_args(argv))
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["eval", "x", "--at", "-5"], {"expression": "x", "at": -5, "op": "none"}),
+        (["eval", "-5", "--at", "3"], {"expression": "-5", "at": 3, "op": "none"}),
+        (["pde", "heat", "--gen", "cycle:4", "--t", "-0.5", "--form", "f"],
+         {"action": "heat", "t": -0.5, "form": "f", "velocity": None, "gen": "cycle:4", "file": None, "degree": None}),
+        (["pde", "wave", "--t", "-.5", "--form=f", "--file", "g"],
+         {"action": "wave", "t": -0.5, "form": "f", "velocity": None, "gen": None, "file": "g", "degree": None}),
+        (["plot", "--fn", "sin", "--range=-2:3", "--out", "o"],
+         {"fn": "sin", "a": 1.0, "h": 1.0, "range": "-2:3", "out": "o"}),
+        (["eval", "x", "--at", "1", "--op", "sum", "--at", "2"], {"expression": "x", "at": 2, "op": "sum"}),
+        (["taylor", "--samples", "a", "--print", "--print", "--samples", "b"],
+         {"samples": "b", "eval": None, "print_form": True}),
+        (["forms", "laplacian", "--degree=-1", "--gen="], {"action": "laplacian", "gen": "", "file": None,
+                                                           "form": None, "current": None, "degree": -1}),
+        # a value that is no plain negative number: argparse 3.11 reads it as an option, an error
+        (["plot", "--fn", "sin", "--range", "-2:3", "--out", "o"], None),
+        (["eval", "x", "--at=-1e5"], None),  # a failed conversion
+        (["eval", "x", "--at", "-\u0663"], None),  # argparse reads the Arabic-Indic digit as a number, the reader not
+        (["forms", "poisson", "--gen", "cycle:3", "--cur", "f"], None),  # an abbreviation
+        (["taylor", "--samples", "f", "--print=x"], None),  # a value for a flag
+        (["eval", "--", "x", "--at", "3"], None),
+        (["eval", "x", "--at", "3", "--"], None),
+        (["eval", "x", "-h"], None),
+        (["eval", "x", "--help"], None),
+        (["eval", "x", "y", "--at", "3"], None),  # a second positional
+        (["eval", "x", "--at", "3", "--op", "integrate"], None),  # outside the choices
+        (["eval", "x"], None),  # a required option missing
+        (["eval", "--at", "3"], None),  # the positional missing
+        (["eval", "x", "--at"], None),  # an option with no value
+        (["eval", "x", "--at", "--op", "sum"], None),
+        (["eval", "x", "--at", "3", "--bogus"], None),
+        (["plot", "--fn", "sin", "--a", "inf", "--range", "0:1", "--out", "o"], None),  # _finite refuses it
+        (["nosuch", "x"], None),
+        (["-h"], None),
+        ([], None),
+    ])
+    def test_reader_rows(self, argv, expected):
+        args = cli._read_argv(argv)
+        if expected is None:
+            assert args is None
+            return
+        assert vars(args) == {"command": argv[0], **expected}
+        assert vars(args) == vars(cli.build_parser(argv[0]).parse_args(argv))
 
 
 class TestProcessExit:
