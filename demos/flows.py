@@ -31,10 +31,15 @@ for t in (0.0, 1.0, 10.0):
 d = fm.dirac(octa).data.astype(float)
 g0 = d @ np.linspace(0, 1, fm.total_dim(octa))
 for t in (0.0, 1.5, 6.0):
-    w = np.asarray(ev.wave_flow(octa, psi0, g0, t))
-    v = np.asarray(ev.wave_velocity(octa, psi0, g0, t))
+    w, v = (np.asarray(x) for x in ev.wave_flow(octa, psi0, g0, t))
     energy = float(v @ v + (d @ w) @ (d @ w))
     print(f"wave t = {t:3.1f}: energy = {energy:.12f}")
+
+# A velocity in the kernel of D, here a constant on the vertices, has no
+# frequency: sin(wt)/w -> t, so the wave drifts as t times it
+h = np.zeros(fm.total_dim(octa))
+h[:octa.count(0)] = 1.0
+print("wave t = 2.5 from velocity h: u[0] =", ev.wave_flow(octa, np.zeros_like(h), h, 2.5)[0][0])
 
 # Matrix powers of the Dirac operator count signed paths: the (j, i) entry
 # of D^n is the sum over all n-step walks from simplex i to simplex j of

@@ -2,23 +2,21 @@
 
 Every flow is the action of one matrix exponential on one vector, computed in
 plain Python floats and complexes from the sparse rows of an
-``OperatorMatrix``: a truncated Taylor series with scaling steps and an early
+``OperatorMatrix`` by one truncated Taylor loop with scaling steps and an early
 stop (Al-Mohy & Higham, "Computing the action of the matrix exponential",
-SIAM J. Sci. Comput. 2011).  Heat is e^(-tL_k) f and Schroedinger e^(itD) f.
-D is real symmetric, so the wave and its velocity are real parts of the same
-action: cos(Dt) f + sin(Dt) D+ g = Re e^(itD)(f - i D+ g) and
--D sin(Dt) f + cos(Dt) g = Re e^(itD)(g + i D f).  D+ g and the Poisson
-solve L_1+ j are MINRES solves (Paige & Saunders), which also give the norm of
-the harmonic part of the source, the part no solve reaches.  Each public entry
-scales its input by a power of two once (``_unit``) and decides there: a
-divergence, gauge residual or harmonic norm is rounding when it is at most
-``SOURCE_TOL`` times max |source|, so no decision depends on the input's size.
+SIAM J. Sci. Comput. 2011): heat e^(-tL_k) f, Schroedinger e^(itD) f, and the
+wave u'' = -Lu as the first-order system (u, w)' = [[0, s], [-L/s, 0]] (u, w),
+with w = u'/s and s = sqrt(||L||_1).  The Poisson solve L_1+ j is a MINRES
+solve (Paige & Saunders), which also gives the norm of the harmonic part of the
+current, the part no solve reaches.  Each public entry scales its input by a
+power of two once (``_unit``) and decides there: a divergence, gauge residual
+or harmonic norm is rounding when it is at most ``SOURCE_TOL`` times
+max |current|, so no decision depends on the input's size.
 
 The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
 taken from one dense eigendecomposition instead, in ``discalc.spectral``; only
-that route imports it, and numpy with it.  It is also the route that answers
-very long times, such as heat at t = 1e15, and that reports a t * eigenvalue
-past the float range.
+that route imports it, and numpy with it.  It also answers very long times,
+such as heat at t = 1e15, and reports a t * eigenvalue past the float range.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import math
 
 from . import DomainError
 from .complexes import GraphComplex
-from .forms import Form, OperatorMatrix, dirac, exterior_derivative, laplacian_block, total_dim
+from .forms import Form, OperatorMatrix, dirac, exterior_derivative, laplacian, laplacian_block, total_dim
 
 # exact sources on the size ladder and random clique complexes left at most 1.6e-15 of max |source|
 SOURCE_TOL = 1e-10
@@ -105,24 +103,23 @@ def _exp_action(op: OperatorMatrix, alpha, u: list) -> list:
     moderate size, such as one scaled by _unit."""
     cost = abs(alpha) * _norm1(op)
     if cost <= DENSE_CROSSOVER:
-        return _taylor_action(_pairs(op), alpha, cost, u)
+        pairs = _pairs(op)
+        return _taylor_action(lambda b, k: _matvec(pairs, b, alpha / k), cost, u)
     from .spectral import dense_exp_action
 
     return dense_exp_action(op, alpha, u)  # also a cost past the float range, or nan
 
 
-def _taylor_action(pairs, alpha, cost: float, u: list) -> list:
-    """e^(alpha A) u as s steps of the degree-m Taylor polynomial of e^(alpha A / s), stopping a
-    step early once two terms in a row are below the unit roundoff; cost = ||alpha A||_1, and
+def _taylor_action(step, cost: float, u: list) -> list:
+    """e^A u as s steps of the degree-m Taylor polynomial of e^(A / s), stopping a step early once
+    two terms in a row are below the unit roundoff; step(b, k) is A b / k, cost = ||A||_1, and
     (m, s) has the fewest products m s with cost / s <= theta_m (Al-Mohy & Higham, Algorithm 3.2)."""
-    if not cost:
-        return u
     m, s = min(((m, math.ceil(cost / theta)) for m, theta in TAYLOR_THETA.items()), key=lambda p: p[0] * p[1])
     for _ in range(s):
         f = b = u
         c1 = _max_abs(b)
         for j in range(1, m + 1):
-            b = _matvec(pairs, b, alpha / (s * j))
+            b = step(b, s * j)
             c2 = _max_abs(b)
             f = [x + y for x, y in zip(f, b)]
             if c1 + c2 <= UNIT_ROUNDOFF * _max_abs(f):
@@ -132,7 +129,7 @@ def _taylor_action(pairs, alpha, cost: float, u: list) -> list:
     return u
 
 
-def _minres(op: OperatorMatrix, b: list, name: str) -> list:
+def _minres(op: OperatorMatrix, b: list) -> list:
     """A+ b for the symmetric, possibly singular system A x = b, by MINRES (Paige & Saunders, SIAM
     J. Numer. Anal. 1975); HarmonicComponentError when the part h of b in ker A, which no x
     reaches, is more than rounding.
@@ -146,7 +143,7 @@ def _minres(op: OperatorMatrix, b: list, name: str) -> list:
     h = [a - c for a, c in zip(r, _minres_run(pairs, anorm, _matvec(pairs, r)))]
     hnorm, peak = math.sqrt(_dot(h, h)), _max_abs(b)
     if hnorm > SOURCE_TOL * peak:
-        raise HarmonicComponentError(f"{name} has a harmonic component", hnorm / peak)
+        raise HarmonicComponentError("current has a harmonic component", hnorm / peak)
     return _minres_run(pairs, anorm, [a - c for a, c in zip(b, h)])
 
 
@@ -219,35 +216,33 @@ def schrodinger_flow(c: GraphComplex, f0, t: float) -> list:
     return _ldexp(_exp_action(dirac(c), complex(0.0, t), u), e)
 
 
-def wave_flow(c: GraphComplex, f0, g0, t: float) -> list:
-    """cos(Dt) f0 + sin(Dt) D+ g0 for initial value f0 and velocity g0.
+def wave_flow(c: GraphComplex, f0, g0, t: float) -> tuple:
+    """(u, u_t) at time t for u'' = -Lu, u(0) = f0 and u_t(0) = g0: u = cos(Dt) f0 + sin(Dt) D^-1 g0
+    and u_t = -D sin(Dt) f0 + cos(Dt) g0, where sin(wt)/w is t at w = 0, so the harmonic part of g0
+    drifts as t times itself."""
+    n = total_dim(c)
+    x, e = _unit(_state(c, f0, float) + _state(c, g0, float))  # f || g, then u || u_t
+    lap = laplacian(c)
+    sigma = math.sqrt(_norm1(lap)) or 1.0  # balances u and w; with no edges L = 0, and any sigma does
+    cost = abs(t) * sigma
+    if cost <= DENSE_CROSSOVER:
+        pairs = _pairs(lap)
 
-    g0 must have no harmonic (ker D) component beyond rounding;
-    HarmonicComponentError otherwise.
-    """
-    f, g, e = _wave_state(c, f0, g0)
-    d = dirac(c)
-    h = _minres(d, g, "initial velocity")
-    return _ldexp([z.real for z in _exp_action(d, complex(0.0, t), [complex(a, -b) for a, b in zip(f, h)])], e)
+        def step(b, k):  # t A b / k for A = [[0, sigma], [-L / sigma, 0]] on the list u || w, w = u_t / sigma
+            coeff = t / k
+            return [sigma * coeff * y for y in b[n:]] + _matvec(pairs, b[:n], -(coeff / sigma))
 
+        x = _taylor_action(step, cost, x[:n] + [b / sigma for b in x[n:]])
+        x[n:] = [sigma * b for b in x[n:]]
+    else:  # also a t past the float range, or nan
+        from .spectral import dense_exp_action
 
-def wave_velocity(c: GraphComplex, f0, g0, t: float) -> list:
-    """Time derivative of the wave flow: -D sin(Dt) f0 + cos(Dt) g0."""
-    f, g, e = _wave_state(c, f0, g0)
-    d = dirac(c)
-    df = _matvec(_pairs(d), f)
-    return _ldexp([z.real for z in _exp_action(d, complex(0.0, t), [complex(a, b) for a, b in zip(g, df)])], e)
-
-
-def _wave_state(c: GraphComplex, f0, g0) -> tuple:
-    """(f, g, e): f0 = f * 2^e and g0 = g * 2^e, scaled together by _unit."""
-    f, g = _state(c, f0, float), _state(c, g0, float)
-    u, e = _unit(f + g)
-    return u[:len(f)], u[len(f):], e
+        x = dense_exp_action(dirac(c), t, x[:n], x[n:])
+    return _ldexp(x[:n], e), _ldexp(x[n:], e)
 
 
 class HarmonicComponentError(DomainError):
-    """A source has a harmonic component no solve reaches; norm is its 2-norm over max |source|."""
+    """A current has a harmonic component no solve reaches; norm is its 2-norm over max |current|."""
 
     def __init__(self, message: str, norm: float):
         super().__init__(f"{message} (harmonic norm {norm:.3e} times the largest source entry)")
@@ -272,7 +267,7 @@ def poisson_maxwell(c: GraphComplex, j: Form):
             raise DomainError("Kirchhoff violated: current has nonzero divergence")
 
     check_kirchhoff(ju)
-    av = _minres(laplacian_block(c, 1), ju, "current")
+    av = _minres(laplacian_block(c, 1), ju)
     check_kirchhoff(av)
     fv = _matvec(_pairs(exterior_derivative(c, 1)), av)
     # d2 d1 = 0 exactly on the integer rows: dF is the rounding of F = dA

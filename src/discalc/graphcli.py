@@ -206,5 +206,5 @@ def cmd_pde(args, out):
         return 0
     f0 = _load_state_vector(args.form, c)  # wave, the last action the command line admits
     g0 = _load_state_vector(args.velocity, c) if args.velocity else [0.0] * forms.total_dim(c)
-    write_state(range(c.top_dim + 1), ev.wave_flow(c, f0, g0, args.t))
+    write_state(range(c.top_dim + 1), ev.wave_flow(c, f0, g0, args.t)[0])
     return 0

@@ -1,7 +1,7 @@
 """The dense spectral route: one eigendecomposition of a symmetric operator, and a path-sum oracle.
 
 ``sym_eigen`` diagonalises a symmetric matrix with numpy and checks the result;
-``dense_exp_action`` takes e^(alpha A) u from it.  ``discalc.evolution`` imports
+``dense_exp_action`` takes every flow from it.  ``discalc.evolution`` imports
 this module only for a flow past its ``DENSE_CROSSOVER``, so no other command
 loads numpy.  The Feynman path enumerator is the independent exact route used
 in tests.
@@ -45,9 +45,9 @@ class SpectralDecomposition:
 def sym_eigen(m) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, deterministic ordering.
 
-    Eigenvalues ascend, those in the kernel exactly 0.0 (no flow drifts on the
-    harmonic part); each eigenvector is sign-fixed so its first component of
-    nonnegligible size is positive.  Raises ArithmeticError when the
+    Eigenvalues ascend, those in the kernel exactly 0.0 (so a rounding error
+    there moves no flow); each eigenvector is sign-fixed so its first component
+    of nonnegligible size is positive.  Raises ArithmeticError when the
     eigenvectors are not orthonormal or do not reconstruct m.
     """
     if isinstance(m, OperatorMatrix):
@@ -69,18 +69,22 @@ def sym_eigen(m) -> SpectralDecomposition:
     return SpectralDecomposition(np.where(dec.kernel, 0.0, w), q)
 
 
-def dense_exp_action(op: OperatorMatrix, alpha, u: list) -> list:
-    """e^(alpha A) u from one dense eigendecomposition of A."""
+def dense_exp_action(op: OperatorMatrix, alpha, u: list, g: list | None = None) -> list:
+    """e^(alpha A) u from one dense eigendecomposition of A.  With a velocity g, A is the Dirac
+    operator D and the action is the wave's at t = alpha: cos(Dt) u + sin(Dt) D^-1 g followed by
+    -D sin(Dt) u + cos(Dt) g, with sin(wt)/w = t on the kernel."""
     dec = sym_eigen(op)
-    if isinstance(alpha, complex):  # a rotation e^(iwt): every w t must be a float
-        with np.errstate(over="ignore", invalid="ignore"):
-            wt = dec.eigenvalues * alpha.imag
-        if not np.isfinite(wt).all():
-            raise DomainError(f"eigenvalue * t leaves the float range at t = {alpha.imag!r}")
-        spectrum = np.exp(1j * wt)
-    else:
-        spectrum = np.exp(alpha * dec.eigenvalues)
-    return dec.apply(spectrum, np.asarray(u)).tolist()
+    w = dec.eigenvalues
+    with np.errstate(all="ignore"):  # e^(iwt) and cos(wt) are nan once w t leaves the float range, refused below
+        if g is None:
+            x = dec.apply(np.exp(1j * (w * alpha.imag)) if isinstance(alpha, complex) else np.exp(alpha * w), np.asarray(u))
+        else:
+            cos, sin = np.cos(w * alpha), np.sin(w * alpha)
+            tsinc = np.where(w == 0, alpha, sin / np.where(w == 0, 1.0, w))
+            x = np.concatenate([dec.apply(cos, u) + dec.apply(tsinc, g), dec.apply(cos, g) - dec.apply(w * sin, u)])
+    if not np.isfinite(x).all():
+        raise DomainError(f"the flow leaves the float range at t = {abs(alpha)!r}")
+    return x.tolist()
 
 
 def feynman_path_sum(m, start: int, end: int, steps: int):

@@ -225,8 +225,7 @@ def test_criterion_7_flows():
     g0 = d @ np.array([rng.random() for _ in range(n)])
 
     def energy(t):
-        f = ev.wave_flow(octa, w0, g0, t)
-        v = ev.wave_velocity(octa, w0, g0, t)
+        f, v = ev.wave_flow(octa, w0, g0, t)
         return float(np.dot(v, v) + np.dot(d @ f, d @ f))
 
     e0 = energy(0.0)

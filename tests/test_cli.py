@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import discalc
-from discalc import DomainError, cli, complexes as cx, evolution as ev, expr, vector as vc
+from discalc import DomainError, cli, complexes as cx, evolution as ev, expr, forms as fm, vector as vc
 
 
 def run_cli(*args, cwd=None):
@@ -256,6 +256,9 @@ class TestForms:
             "3a6ada4c78b62cb5072bd99629d176413cc1b152ed70ab221eafb24a21c7fa7d",
         ("wave", "annulus:3", "--t", "0.3", "--form", "annulus_state.csv"):
             "8416e91ab663045312d99e2fe1022bdac4ca47819bb1cdee88a0f146ef15803c",
+        # a generic velocity: annulus:3 has a harmonic 1-form besides the constants, and both drift
+        ("wave", "annulus:3", "--t", "0.3", "--form", "annulus_state.csv", "--velocity", "annulus_velocity.csv"):
+            "ad6b2ae48016f3726e3ee3f11ddd2a82d76882b39b6d71c320d25829d26db238",
     }
 
     def test_golden_stdout(self, tmp_path):
@@ -275,6 +278,8 @@ class TestForms:
         state = [(k, s) for k in range(3) for s in annulus.simplices[k]]
         (tmp_path / "annulus_state.csv").write_text(
             "".join(f"{k},{'-'.join(map(str, s))},{3 * i % 11 - 5}\n" for i, (k, s) in enumerate(state)))
+        (tmp_path / "annulus_velocity.csv").write_text(
+            "".join(f"{k},{'-'.join(map(str, s))},{7 * i % 13 - 6}\n" for i, (k, s) in enumerate(state)))
         for (action, gen, *rest), digest in self.GOLDEN.items():
             command = "pde" if action in ("heat", "wave") else "forms"
             rest = [str(tmp_path / a) if a.endswith(".csv") else a for a in rest]
@@ -301,14 +306,25 @@ class TestPde:
         assert r.returncode == 0
         assert len(r.stdout.splitlines()) == 4  # header + 3 simplices
 
-    def test_wave_harmonic_velocity_exit2(self, tmp_path):
+    @pytest.mark.parametrize("gen, t, velocity, drift", [
+        ("cycle:4", "1.5", "1", "1.5"),
+        # a harmonic velocity, however small, is answered: nothing is compared with the source's size
+        ("hexpatch:2", "2", "1e-10", "2e-10"),
+        ("complete:1", "2", "-0.5", "-1"),  # no edges: u = f + t g
+    ], ids=["cycle-4", "wave-tiny-harmonic-velocity", "complete-1"])
+    def test_wave_harmonic_velocity_drifts(self, tmp_path, gen, t, velocity, drift):
+        # f = 0 and a constant velocity on the vertices, which lies in ker D: u = t g on the vertices, 0 elsewhere
         f0 = tmp_path / "f0.csv"
         f0.write_text("0,0,0\n")
         g0 = tmp_path / "g0.csv"
-        g0.write_text("0,0,1\n0,1,1\n0,2,1\n0,3,1\n")
-        r = run_cli("pde", "wave", "--gen", "cycle:4", "--t", "1.0",
-                    "--form", str(f0), "--velocity", str(g0))
-        assert r.returncode == 2
+        c = cx.build_complex(cx.parse_generator(gen))
+        g0.write_text("".join(f"0,{v},{velocity}\n" for v in range(c.count(0))))
+        r = run_cli("pde", "wave", "--gen", gen, "--t", t, "--form", str(f0), "--velocity", str(g0))
+        assert r.returncode == 0, r.stderr
+        rows = [line.split(",") for line in r.stdout.splitlines()[1:]]
+        assert len(rows) == fm.total_dim(c) and {row[0] for row in rows} == {t}
+        assert [v for _, s, v in rows if s.startswith("0:")] == [drift] * c.count(0)
+        assert {v for _, s, v in rows if not s.startswith("0:")} <= {"0"}
 
 
 class TestFrontDoor:
@@ -361,10 +377,11 @@ class TestFrontDoor:
         # unit circulation around the hole, through the six neighbours of the removed centre
         (("forms", "poisson", "--gen", "annulus:2", "--current", "{f}"),
          {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
-        # a divergence and a harmonic velocity count against the source's own size, however small
+        # a divergence counts against the current's own size, however small
         (("forms", "poisson", "--gen", "hexpatch:2", "--current", "{f}"), {"f": "1,0-1,1e-11\n"}, 2),
-        (("pde", "wave", "--gen", "hexpatch:2", "--t", "2", "--form", "{f}", "--velocity", "{g}"),
-         {"f": "0,0,0\n", "g": "".join(f"0,{v},1e-10\n" for v in range(19))}, 2),
+        # a harmonic velocity drifts as t times itself, here to 1e310
+        (("pde", "wave", "--gen", "complete:1", "--t", "1e300", "--form", "{f}", "--velocity", "{g}"),
+         {"f": "0,0,0\n", "g": "0,0,1e10\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
         (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
         (("taylor", "--samples", "{f}", "--eval", "3", "--print"), {"f": "1,1\n2,4\n3,9\n4,16\n"}, 2),
@@ -389,7 +406,7 @@ class TestFrontDoor:
             "eval-power-far-past-result-bound", "sum-exp-past-result-bound", "eval-exp-just-past-result-bound",
             "eval-literal-power-past-result-bound", "eval-no-closed-form",
             "stokes-non-orientable", "poisson-harmonic-current", "poisson-tiny-divergence",
-            "wave-tiny-harmonic-velocity", "fn-vertex-twice", "form-simplex-twice",
+            "wave-drift-past-float", "fn-vertex-twice", "form-simplex-twice",
             "taylor-print-unanchored", "samples-field-past-csv-limit", "complete-past-simplex-bound",
             "hexpatch-past-vertex-bound", "file-past-vertex-bound", "dirac-past-printed-cells"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):

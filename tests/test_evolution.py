@@ -95,6 +95,12 @@ class TestHeatFlow:
         two = np.asarray(ev.heat_flow(c, 1, f0, 1.2).values, dtype=float)
         assert np.abs(one - two).max() < 1e-9
 
+    def test_infinite_time_rejected(self):
+        # e^(-tw) is nan on the kernel at t = inf, where -inf * 0 has no value
+        c = complex_of("cycle:5")
+        with pytest.raises(DomainError, match="float range"):
+            ev.heat_flow(c, 0, fm.Form(c, 0, [1, 0, 0, 0, 0]), math.inf)
+
     def test_negative_time_rejected(self):
         c = complex_of("cycle:4")
         f0 = fm.Form(c, 0, np.zeros(4, dtype=object))
@@ -146,8 +152,8 @@ class TestWaveFlow:
         c = complex_of("cycle:5")
         rng = random.Random(6)
         f0 = np.array([rng.random() for _ in range(fm.total_dim(c))])
-        out = ev.wave_flow(c, f0, np.zeros_like(f0), 0.0)
-        assert np.abs(out - f0).max() < 1e-12
+        u, ut = ev.wave_flow(c, f0, np.zeros_like(f0), 0.0)
+        assert np.abs(u - f0).max() < 1e-12 and not any(ut)
 
     def test_k2_closed_form(self):
         # on K2 the nonzero Dirac eigenvalues are +-sqrt(2), so with zero
@@ -157,7 +163,7 @@ class TestWaveFlow:
         dec = sp.sym_eigen(fm.dirac(c))
         kernel = dec.apply(dec.kernel, f0)
         for t in (0.0, 0.3, 1.7, 6.0):
-            out = ev.wave_flow(c, f0, np.zeros(3), t)
+            out = ev.wave_flow(c, f0, np.zeros(3), t)[0]
             expected = kernel + math.cos(math.sqrt(2) * t) * (f0 - kernel)
             assert np.abs(out - expected).max() < 1e-10
 
@@ -170,8 +176,7 @@ class TestWaveFlow:
         g0 = d @ np.array([rng.random() for _ in range(n)])  # range of D: no kernel part
 
         def energy(t):
-            f = ev.wave_flow(c, f0, g0, t)
-            v = ev.wave_velocity(c, f0, g0, t)
+            f, v = ev.wave_flow(c, f0, g0, t)
             return float(np.dot(v, v) + np.dot(d @ f, d @ f))
 
         e0 = energy(0.0)
@@ -186,24 +191,39 @@ class TestWaveFlow:
         f0 = np.array([rng.random() for _ in range(n)])
         g0 = d @ np.array([rng.random() for _ in range(n)])
         t, h = 0.9, 1e-6
-        numeric = (np.asarray(ev.wave_flow(c, f0, g0, t + h)) - np.asarray(ev.wave_flow(c, f0, g0, t - h))) / (2 * h)
-        assert np.abs(numeric - ev.wave_velocity(c, f0, g0, t)).max() < 1e-5
+        numeric = (np.asarray(ev.wave_flow(c, f0, g0, t + h)[0]) - np.asarray(ev.wave_flow(c, f0, g0, t - h)[0])) / (2 * h)
+        assert np.abs(numeric - ev.wave_flow(c, f0, g0, t)[1]).max() < 1e-5
 
-    @pytest.mark.parametrize("flow, f_len, g_len", [
-        (ev.wave_flow, 11, 12), (ev.wave_flow, 12, 11),
-        (ev.wave_velocity, 11, 12), (ev.wave_velocity, 12, 11),
-    ])
+    @pytest.mark.parametrize("flow, f_len, g_len", [(ev.wave_flow, 11, 12), (ev.wave_flow, 12, 11)])
     def test_state_length_checked(self, flow, f_len, g_len):
         c = complex_of("cycle:6")  # 12 simplices
         with pytest.raises(DomainError):
             flow(c, np.zeros(f_len), np.zeros(g_len), 1.0)
 
-    def test_harmonic_velocity_rejected(self):
+    def test_harmonic_velocity_drifts(self):
+        # a constant vertex function lies in ker D: it moves as t times itself, and its velocity stays
         c = complex_of("cycle:4")
-        g0 = np.zeros(fm.total_dim(c))
-        g0[:4] = 1.0  # constant vertex component lies in ker D
-        with pytest.raises(DomainError):
-            ev.wave_flow(c, np.zeros_like(g0), g0, 1.0)
+        g0 = [1.0] * 4 + [0.0] * 4
+        for t in (0.0, 1.5, 40.0):  # t ||D||_1 past DENSE_CROSSOVER at the last
+            u, ut = ev.wave_flow(c, [0.0] * 8, g0, t)
+            assert np.abs(np.asarray(u) - t * np.asarray(g0)).max() <= 1e-12 * (1 + t)
+            assert np.abs(np.asarray(ut) - g0).max() <= 1e-12
+
+    @pytest.mark.parametrize("graph", ['{"vertices": 1, "edges": []}', '{"vertices": 0, "edges": []}'],
+                             ids=["complete-1", "empty"])
+    def test_edgeless_complex_drifts(self, graph):
+        # L = 0: u = f + t g, and the velocity is g
+        c = cx.build_complex(cx.Graph.from_json(graph))
+        f, g = [3.0] * c.count(0), [-0.5] * c.count(0)
+        for t in (0.0, 2.0, 1e300):
+            assert ev.wave_flow(c, f, g, t) == ([3.0 + t * -0.5] * c.count(0), g)
+
+    @pytest.mark.parametrize("spec, t", [("complete:1", 1e300), ("cycle:4", 8e307)])  # no edges; the dense route
+    def test_drift_past_the_float_range(self, spec, t):
+        c = complex_of(spec)
+        g0 = [1e10] * c.count(0) + [0.0] * (fm.total_dim(c) - c.count(0))
+        with pytest.raises(DomainError, match="float range"):
+            ev.wave_flow(c, [0.0] * len(g0), g0, t)
 
 
 class TestFeynmanPathSum:
@@ -310,6 +330,15 @@ def pinv_spectrum(dec) -> np.ndarray:
     return np.where(dec.kernel, 0.0, 1.0 / np.where(dec.kernel, 1.0, dec.eigenvalues))
 
 
+def wave_oracle(dec, t: float, f, g) -> np.ndarray:
+    """u || u_t from the spectrum of D: cos(wt) f + t sinc(wt) g and -w sin(wt) f + cos(wt) g, where
+    t sinc(wt) = sin(wt) / w is t on the kernel."""
+    w = dec.eigenvalues
+    tsinc = np.where(dec.kernel, t, np.sin(w * t) / np.where(dec.kernel, 1.0, w))
+    return np.concatenate([dec.apply(np.cos(w * t), f) + dec.apply(tsinc, g),
+                           dec.apply(-w * np.sin(w * t), f) + dec.apply(np.cos(w * t), g)])
+
+
 class TestDenseOracle:
     """Every flow and solve, bounded by 1e-11 (1 + ||v||_inf) against the dense sym_eigen route."""
 
@@ -337,32 +366,24 @@ class TestDenseOracle:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(c=clique_complexes(), data=st.data())
     def test_wave_and_velocity(self, c, data):
+        # g = D r plus a multiple of a harmonic form, which drifts as t times itself
         d = fm.dirac(c)
-        f, r, t = data.draw(vectors(d.shape[0])), data.draw(vectors(d.shape[0])), data.draw(TIMES)
-        g = [sum((a * Fraction(r[j]) for j, a in row.items()), Fraction(0)) for row in d.rows]  # D r: in im D
+        dec = sp.sym_eigen(d)
+        f, r, h = (data.draw(vectors(d.shape[0])) for _ in range(3))
+        t = data.draw(TIMES)
+        harmonic = data.draw(st.sampled_from([0.0, 1e-12, 1.0])) * dec.apply(dec.kernel, at_scale(h, scale_of(h)))
+        g = [Fraction(x) + sum((a * Fraction(r[j]) for j, a in row.items()), Fraction(0))
+             for x, row in zip(harmonic.tolist(), d.rows)]
         try:
             gf = [float(x) for x in g]
         except OverflowError:
             with pytest.raises(OverflowError):
                 ev.wave_flow(c, f, g, t)
             return
-        dec = sp.sym_eigen(d)
-        w = dec.eigenvalues
         e = scale_of(f, gf)
         fu, gu = at_scale(f, e), at_scale(gf, e)
-        bound = bound_at_scale(e, fu, gu)
-        # the harmonic part rounding leaves in g, and the wave's answer, at the scale 2^-e
-        hnorm = np.linalg.norm(dec.apply(dec.kernel, gu))
-        wave = dec.apply(np.cos(w * t), fu) + dec.apply(np.sin(w * t) * pinv_spectrum(dec), gu)
-        got, exc = outcome(lambda: ev.wave_flow(c, f, g, t))
-        tol = ev.SOURCE_TOL * np.abs(gu).max(initial=0.0)
-        if isinstance(exc, ev.HarmonicComponentError):
-            assert hnorm >= tol - bound
-        else:
-            assert hnorm <= tol + bound
-            assert_dense_answer((got, exc), wave, e, bound)
-        velocity = dec.apply(-w * np.sin(w * t), fu) + dec.apply(np.cos(w * t), gu)
-        assert_dense_answer(outcome(lambda: ev.wave_velocity(c, f, g, t)), velocity, e, bound)
+        result = outcome(lambda: sum(ev.wave_flow(c, f, g, t), []))
+        assert_dense_answer(result, wave_oracle(dec, t, fu, gu), e, bound_at_scale(e, fu, gu))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(c=clique_complexes(), data=st.data())
@@ -425,32 +446,36 @@ class TestDenseOracle:
 
     def test_large_exact_velocity_has_no_harmonic_part(self):
         # g = D r exactly; ker D holds the constants (and on the annulus a harmonic 1-form), and
-        # the rounding of the input and the solve is none of them
+        # the rounding of the input is none of them, so nothing drifts
         for spec in ("hexpatch:5", "annulus:3"):
             c = complex_of(spec)
             d = fm.dirac(c)
             dec = sp.sym_eigen(d)
-            w = dec.eigenvalues
-            for scale in (10 ** 4, 10 ** 8):
+            for scale in (10 ** 4, 10 ** 8, 10 ** 12):
                 g = [sum(a * scale * (k % 7 - 3) for k, a in row.items()) for row in d.rows]
-                dense = dec.apply(np.sin(w) * pinv_spectrum(dec), np.asarray(g, dtype=float))
-                got = ev.wave_flow(c, [0.0] * d.shape[0], g, 1.0)
+                zero = [0.0] * d.shape[0]
+                dense = wave_oracle(dec, 1.0, zero, np.asarray(g, dtype=float))
+                got = sum(ev.wave_flow(c, zero, g, 1.0), [])
                 assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, g))), (spec, scale)
 
     @pytest.mark.parametrize("side", [0.99, 1.01], ids=["taylor", "dense"])
-    @pytest.mark.parametrize("flow", ["heat", "schrodinger"])
+    @pytest.mark.parametrize("flow", ["heat", "schrodinger", "wave"])
     def test_each_side_of_the_crossover(self, flow, side):
+        # the wave's cost is t sqrt(||L||_1); its velocity is generic, so it has a part in ker D
         c = complex_of("icosahedron")
-        op = fm.laplacian_block(c, 0) if flow == "heat" else fm.dirac(c)
+        op = {"heat": fm.laplacian_block(c, 0), "schrodinger": fm.dirac(c), "wave": fm.laplacian(c)}[flow]
         norm = max(sum(map(abs, row.values())) for row in op.rows)
-        t = side * ev.DENSE_CROSSOVER / norm
+        t = side * ev.DENSE_CROSSOVER / (math.sqrt(norm) if flow == "wave" else norm)
         rng = random.Random(9)
         v = [rng.uniform(-5, 5) for _ in range(op.shape[0])]
         dec = sp.sym_eigen(op)
         if flow == "heat":
             got, dense = ev.heat_flow(c, 0, fm.Form(c, 0, v), t).values, dec.apply(np.exp(-t * dec.eigenvalues), v)
-        else:
+        elif flow == "schrodinger":
             got, dense = ev.schrodinger_flow(c, v, t), dec.apply(np.exp(1j * t * dec.eigenvalues), v)
+        else:
+            g = [rng.uniform(-5, 5) for _ in v]
+            got, dense = sum(ev.wave_flow(c, v, g, t), []), wave_oracle(sp.sym_eigen(fm.dirac(c)), t, v, g)
         assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, v)))
 
     def test_heat_past_the_crossover_loads_numpy(self):
@@ -528,13 +553,12 @@ class TestOneScale:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(c=WITH_HOLES, data=st.data())
     def test_wave_and_velocity(self, c, data):
-        # the velocity D r is in range; any other has a harmonic part, the constants at least
+        # the velocity D r is in range; any other has a harmonic part, the constants at least, which drifts
         d = fm.dirac(c)
         f, r = data.draw(grid_vectors(d.shape[0])), data.draw(grid_vectors(d.shape[0]))
         g = r if data.draw(st.booleans()) else [sum(a * r[j] for j, a in row.items()) for row in d.rows]
         t, k = data.draw(TIMES), data.draw(SCALES)
-        assert_equivariant(lambda f, g: ev.wave_flow(c, f, g, t), [f, g], k)
-        assert_equivariant(lambda f, g: ev.wave_velocity(c, f, g, t), [f, g], k)
+        assert_equivariant(lambda f, g: sum(ev.wave_flow(c, f, g, t), []), [f, g], k)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(c=WITH_HOLES, data=st.data())
