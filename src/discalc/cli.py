@@ -102,13 +102,18 @@ def _rational(text: str):
     return Fraction(text)
 
 
+def _csv_value(text: str, path: str):
+    """A value of a samples or form file: exact when it has no '.' or has a '/' (3, -2/3, 1e-3), else a
+    finite float (0.5, 1.5e-3)."""
+    return _parsed(_rational if "/" in text or "." not in text else _finite, text, path)
+
+
 def _load_samples(path: str) -> Sequence:
     from .numcore import Sequence
 
     pairs = []
     for row in _csv_rows(path, "x", 2):
-        text = row[1].strip()
-        value = _parsed(_finite if ("." in text or "e" in text or "E" in text) else _rational, text, path)
+        value = _csv_value(row[1].strip(), path)
         if not isinstance(value, float) and value.denominator == 1:
             value = value.numerator
         pairs.append((_parsed(int, row[0], path), value))
@@ -334,13 +339,9 @@ def _read_argv(argv: list) -> _Arguments | None:
     return _Arguments(values) if required <= given else None
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only the subparser of ``command`` when that names a subcommand, else with all of them.
-
-    Only a command line that _read_argv declines reaches argparse: help, abbreviations and every usage error.
-    An argv whose first word is a subcommand parses the same either way: everything after that word
-    goes to its subparser.  Any other argv (none, ``-h``, an unknown command) needs every subparser,
-    for the command list in the help and in the error."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of all seven subcommands, which reads only a command line that _read_argv declines:
+    help, abbreviations and every usage error."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -350,8 +351,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = _Parser(prog="discalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _SUBCOMMANDS.items():
-        if command in _SUBCOMMANDS and name != command:
-            continue
         p = sub.add_parser(name, help=help_text)
         for names, options in arguments:
             p.add_argument(*names, **options)
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
 
 def _run(argv: list) -> int:
     try:
-        args = _read_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _read_argv(argv) or build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args, sys.stdout)
         sys.stdout.flush()
         return code

@@ -17,6 +17,7 @@ The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
 taken from one dense eigendecomposition instead, in ``discalc.spectral``; only
 that route imports it, and numpy with it.  It also answers very long times,
 such as heat at t = 1e15, and reports a t * eigenvalue past the float range.
+A matrix of more than ``MAX_DENSE_DIM`` rows is refused before that import.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ SOURCE_TOL = 1e-10
 # included, on every rung of the size ladder (hexpatch:2..12, complete:4..10, icosahedron, annulus,
 # moebius); the closest rungs cross near 73 (D of complete:10) and 76 (D of hexpatch:6)
 DENSE_CROSSOVER = 64
+# Largest n whose n x n matrix the dense route decomposes; past it a flow past DENSE_CROSSOVER is refused
+# before numpy is imported.  sym_eigen holds about six n x n float64 arrays at once: with one BLAS thread on a
+# 2-core VM, pde schrodinger at t = 11 took 13.6 s and 635 MB on hexpatch:14 (n = 3613) and 19.0 s and 825 MB
+# on hexpatch:15 (n = 4141), also under a 1.2 GB address-space limit.  hexpatch:24 (n = 10 513) would need
+# two 0.9 GB arrays before eigh.
+MAX_DENSE_DIM = 4096
 # theta_m of Al-Mohy & Higham (2011), Table 3.1, for double precision: m Taylor terms of
 # e^(alpha A / s) meet the unit roundoff as a backward error once ||alpha A||_1 / s <= theta_m
 TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0,
@@ -105,9 +112,17 @@ def _exp_action(op: OperatorMatrix, alpha, u: list) -> list:
     if cost <= DENSE_CROSSOVER:
         pairs = _pairs(op)
         return _taylor_action(lambda b, k: _matvec(pairs, b, alpha / k), cost, u)
+    _check_dense(op.shape[0])
     from .spectral import dense_exp_action
 
     return dense_exp_action(op, alpha, u)  # also a cost past the float range, or nan
+
+
+def _check_dense(n: int):
+    """DomainError when the dense route would decompose an n x n matrix with n past MAX_DENSE_DIM."""
+    if n > MAX_DENSE_DIM:
+        raise DomainError(f"the flow is past DENSE_CROSSOVER, and its {n} x {n} matrix is past "
+                          f"MAX_DENSE_DIM = {MAX_DENSE_DIM} for a dense eigendecomposition")
 
 
 def _taylor_action(step, cost: float, u: list) -> list:
@@ -235,6 +250,7 @@ def wave_flow(c: GraphComplex, f0, g0, t: float) -> tuple:
         x = _taylor_action(step, cost, x[:n] + [b / sigma for b in x[n:]])
         x[n:] = [sigma * b for b in x[n:]]
     else:  # also a t past the float range, or nan
+        _check_dense(n)
         from .spectral import dense_exp_action
 
         x = dense_exp_action(dirac(c), t, x[:n], x[n:])

@@ -9,7 +9,7 @@ there (the benchmark's tracer books matrix printing as ``cli.format_s``) sees ev
 from __future__ import annotations
 
 from . import DomainError, cli
-from .cli import UsageError, _csv_rows, _finite, _parsed, _rational, fmt
+from .cli import UsageError, _csv_rows, _csv_value, _parsed, _rational, fmt
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
     rows, seen = [], set()
     for row in _csv_rows(path, "degree", 3):
         d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
-        value = _parsed(_rational if "/" in row[2] or "." not in row[2] else _finite, row[2], path)
+        value = _csv_value(row[2], path)
         rows.append((d, c.positions(d, [simplex])[0], value))
         if simplex in seen:
             raise DomainError(f"simplex {_simplex_name(simplex)} given twice")

@@ -8,8 +8,8 @@ at each vertex.  Betti numbers come from the rank over Q of each d_k, whose
 rows are the signed rows of the face table ``GraphComplex.faces``, by sparse
 fraction-free elimination on Python ints (no matrix, no modular step).  The
 tests check that rank against a dense Bareiss elimination of their own.  The
-curve / surface / solid classifier reads the unit spheres, and a level curve
-reads the triangles' rows of the face table.
+classifier reads each unit sphere once, as a ball or sphere of one dimension,
+and a level curve reads the triangles' rows of the face table.
 """
 
 from __future__ import annotations
@@ -221,16 +221,6 @@ def connected_components(g: Graph) -> list:
     return components
 
 
-def is_path_graph(g: Graph) -> bool:
-    """A single path P_m with m >= 2 vertices (a chain of 1-simplices)."""
-    if g.vertex_count < 2 or len(g.edges) != g.vertex_count - 1:
-        return False
-    if len(connected_components(g)) != 1:
-        return False
-    degrees = sorted(len(g.neighbors(v)) for v in range(g.vertex_count))
-    return degrees.count(1) == 2 and all(d <= 2 for d in degrees)
-
-
 def is_cycle_graph(g: Graph, min_len: int = 3) -> bool:
     if g.vertex_count < min_len or len(g.edges) != g.vertex_count:
         return False
@@ -246,56 +236,45 @@ class Classification:
     flat: bool = False
 
 
+def _sphere_shape(s: Graph):
+    """(d, is_ball) when the unit sphere s is a d-ball or a d-sphere, d <= 2, else None.
+
+    d = 0: one point (ball) or two (sphere); d = 1: a path (ball) or a cycle of at least 4 vertices
+    (sphere); d = 2: a surface with boundary and chi = 1 (ball) or without boundary and chi = 2 (sphere).
+    """
+    n, e = s.vertex_count, len(s.edges)
+    if e == 0 and n in (1, 2):
+        return 0, n == 1
+    if (e == n - 1 >= 1 or e == n >= 4) and all(len(s.neighbors(v)) <= 2 for v in range(n)) \
+            and len(connected_components(s)) == 1:
+        return 1, e == n - 1
+    sphere = build_complex(s)
+    sub = classify(sphere)
+    if sub.kind == "surface" and euler_characteristic(sphere) == (1 if sub.boundary else 2):
+        return 2, bool(sub.boundary)
+    return None
+
+
 def classify(c: GraphComplex) -> Classification:
-    """Curve / surface / solid classification by unit-sphere shape."""
-    g = c.graph
-    if g.vertex_count == 0:
-        return Classification("other", ())
-    sphere_cache = [unit_sphere(c, v) for v in range(g.vertex_count)]
+    """Curve / surface / solid by the shape of the unit spheres, read once each in one pass.
 
-    def all_curve():
-        boundary = []
-        for v, s in enumerate(sphere_cache):
-            if len(s.edges) != 0 or s.vertex_count not in (1, 2):
-                return None
-            if s.vertex_count == 1:
-                boundary.append(v)
-        return Classification("curve", tuple(boundary))
-
-    def all_surface():
-        boundary = []
-        interior_c6 = True
-        for v, s in enumerate(sphere_cache):
-            if is_path_graph(s):
-                boundary.append(v)
-            elif is_cycle_graph(s, min_len=4):
-                if s.vertex_count != 6:
-                    interior_c6 = False
-            else:
-                return None
-        return Classification("surface", tuple(boundary), flat=interior_c6)
-
-    def all_solid():
-        boundary = []
-        for v, s in enumerate(sphere_cache):
-            sphere = build_complex(s)
-            sub = classify(sphere)
-            if sub.kind != "surface":
-                return None
-            chi = sum((-1) ** k * v for k, v in enumerate(sphere.counts()))
-            if sub.boundary and chi == 1:
-                boundary.append(v)  # sphere is a disc: boundary point
-            elif not sub.boundary and chi == 2:
-                pass  # sphere is a 2-sphere: interior point
-            else:
-                return None
-        return Classification("solid", tuple(boundary))
-
-    for attempt in (all_curve, all_surface, all_solid):
-        result = attempt()
-        if result is not None:
-            return result
-    return Classification("other", ())
+    Every sphere must be a ball or a sphere of one dimension d (``_sphere_shape``), else the graph is
+    "other"; the kind is curve, surface or solid for d = 0, 1, 2, the boundary is the vertices whose
+    sphere is a ball, and a surface is flat when every interior vertex has degree 6.
+    """
+    d, boundary, flat = None, [], True
+    for v in range(c.graph.vertex_count):
+        s = unit_sphere(c, v)
+        shape = _sphere_shape(s)
+        if shape is None or d not in (None, shape[0]):
+            return Classification("other", ())
+        d, ball = shape
+        if ball:
+            boundary.append(v)
+        elif s.vertex_count != 6:
+            flat = False
+    kind = "other" if d is None else ("curve", "surface", "solid")[d]  # None: no vertices
+    return Classification(kind, tuple(boundary), flat=d == 1 and flat)
 
 
 # ---------------------------------------------------------------------------

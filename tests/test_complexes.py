@@ -257,6 +257,26 @@ class TestSpheresAndClassify:
         assert cls.kind == "surface"
         assert len(cls.boundary) == 9
 
+    def test_suspended_octahedron_is_closed_solid(self):
+        # a 3-sphere: the poles' unit spheres are the octahedron, every other one a suspended C_4
+        poles = {(v, p) for v in range(6) for p in (6, 7)}
+        cls = tp.classify(cx.build_complex(cx.Graph(8, cx.generate("octahedron").edges | poles)))
+        assert cls == tp.Classification("solid", ())
+
+    @pytest.mark.parametrize("g", [
+        # the cross-polytope whose boundary is the 4-sphere: each vertex is joined to all but its antipode,
+        # and the unit spheres are 3-spheres (on 8 vertices it is the suspended octahedron above)
+        cx.Graph(10, frozenset((a, b) for a in range(10) for b in range(a + 1, 10) if b - a != 5)),
+        # the cycle's unit spheres are two points, the triangle's are edges
+        cx.Graph(7, frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)})),
+        # the unit sphere of the shared vertex is two disjoint edges
+        cx.Graph(5, frozenset({(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)})),
+        cx.Graph(1, frozenset()),
+        cx.Graph(0, frozenset()),
+    ], ids=["4-sphere-cross-polytope", "cycle-beside-triangle", "triangles-sharing-a-vertex", "isolated-vertex", "empty"])
+    def test_is_other(self, g):
+        assert tp.classify(cx.build_complex(g)) == tp.Classification("other", ())
+
 
 class TestOrientation:
     def test_octahedron_orientable(self):
