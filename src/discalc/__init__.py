@@ -1,10 +1,12 @@
 """Exact difference calculus on the integers and exterior calculus on graphs.
 
 The package holds what every command shares: the two error types the command line maps to its exit
-codes, and ``record``, the frozen-record decorator of the library's value types.  Each submodule
-serves the commands that run it (see the README's library layout), so a process imports only those.
+codes, ``record``, the frozen-record decorator of the library's value types, and ``full_str``, which
+prints an exact number in full.  Each submodule serves the commands that run it (see the README's
+library layout), so a process imports only those.
 """
 
+import sys
 from operator import attrgetter
 
 __version__ = "0.1.0"
@@ -20,6 +22,20 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+def full_str(value) -> str:
+    """str(value), with an integer, or a rational p/q, past the interpreter's int-to-str digit limit printed
+    in full: the limit guards the reading of input, and a result is printed whatever its length."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def record(cls):

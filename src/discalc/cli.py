@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from . import DomainError, ParseError
+from . import DomainError, ParseError, full_str
 
 # Each subcommand imports the library modules it runs, and a reader of exact input imports fractions:
 # a scalar command loads no graph module, a graph command loads neither numcore nor forms, and only a
@@ -33,23 +33,13 @@ class UsageError(Exception):
 
 
 def fmt(value) -> str:
-    """Deterministic scalar formatting: exact integers/rationals as such,
+    """Deterministic scalar formatting: exact integers and rationals (p/q) in full,
     floats with 12 significant digits."""
-    if getattr(value, "denominator", 1) != 1:  # a rational p/q with q > 1; an integer prints as itself
-        return f"{fmt(value.numerator)}/{fmt(value.denominator)}"
     if isinstance(value, float):
         return format(value, ".12g")
     if isinstance(value, complex):
         return f"{format(value.real, '.12g')}{'+' if value.imag >= 0 else '-'}{format(abs(value.imag), '.12g')}i"
-    try:
-        return str(value)
-    except ValueError:  # an integer past the int-to-str digit limit, which guards input only
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    return full_str(value)
 
 
 def _finite(text: str) -> float:
@@ -179,24 +169,6 @@ def cmd_taylor(args, out):
     return 0
 
 
-def cmd_graph(args, out):
-    from . import graphcli
-
-    return graphcli.cmd_graph(args, out)
-
-
-def cmd_forms(args, out):
-    from . import graphcli
-
-    return graphcli.cmd_forms(args, out)
-
-
-def cmd_pde(args, out):
-    from . import graphcli
-
-    return graphcli.cmd_pde(args, out)
-
-
 def cmd_plot(args, out):
     from . import plot
 
@@ -266,6 +238,7 @@ _SUBCOMMANDS = {
         (["--out"], {"required": True}),
     ]),
 }
+_GRAPH_SIDE = ("graph", "forms", "pde")  # the subcommands whose handler, cmd_<subcommand>, is in discalc.graphcli
 
 
 class _Arguments:
@@ -357,15 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    "sum": cmd_sum,
-    "taylor": cmd_taylor,
-    "graph": cmd_graph,
-    "forms": cmd_forms,
-    "pde": cmd_pde,
-    "plot": cmd_plot,
-}
+def _handler(command: str):
+    """cmd_<command>, looked up as it runs so that a rebound name is called; graphcli loads for its commands only."""
+    module = sys.modules[__name__]
+    if command in _GRAPH_SIDE:
+        from . import graphcli as module
+    return getattr(module, f"cmd_{command}")
 
 
 def main(argv=None) -> int:
@@ -385,7 +355,7 @@ def main(argv=None) -> int:
 def _run(argv: list) -> int:
     try:
         args = _read_argv(argv) or build_parser().parse_args(argv)
-        code = _COMMANDS[args.command](args, sys.stdout)
+        code = _handler(args.command)(args, sys.stdout)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -398,7 +368,7 @@ def _run(argv: list) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, OverflowError) as exc:
+    except (DomainError, OverflowError, RecursionError) as exc:  # RecursionError: an expression nested too deeply
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import DomainError, ParseError, record
+from . import DomainError, ParseError, full_str, record
 from .numcore import exp_trig_exact, falling_power, log_discrete, reciprocal
 
 
@@ -162,7 +162,10 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("number", int(text[i:j]), i))
+            try:
+                tokens.append(("number", int(text[i:j]), i))
+            except ValueError as exc:  # past the int-to-str digit limit, or digits that are not decimal
+                raise ParseError(f"unreadable number: {str(exc).partition(';')[0]}", i) from None
             i = j
             continue
         if ch.isalpha():
@@ -342,10 +345,7 @@ def _print_factor(node) -> str:
 
 def to_string(node) -> str:
     if isinstance(node, Const):
-        v = node.value
-        if isinstance(v, Fraction):
-            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return repr(v)
+        return full_str(node.value) if isinstance(node.value, Fraction) else repr(node.value)  # p/q, or p when q = 1
     if isinstance(node, FallingPower):
         return "[x]" if node.n == 1 else f"[x]^{node.n}"
     if isinstance(node, PlainPower):
@@ -354,8 +354,7 @@ def to_string(node) -> str:
         c = node.c
         if c < 0 and c.denominator == 1:
             return f"exp({c.numerator - 1}.x)"  # negative base has no '^x' spelling
-        base = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        return f"{base}^x"
+        return f"{full_str(c)}^x"
     if isinstance(node, Trig):
         return f"{node.kind}({node.a}.x)"
     if isinstance(node, Log):

@@ -1,7 +1,9 @@
 """Newton-Gregory machinery: forward-difference tables and exact interpolation.
 
 The discrete Taylor formula f(x) = sum_k D^k f(0) [x]^k / k! reproduces any
-sampled function exactly on its window and extrapolates beyond it.
+sampled function exactly on its window and extrapolates beyond it.  At an
+integer x each weight [x]^k / k! is the binomial C(x, k), an integer, and the
+evaluation carries it from one term to the next.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import DomainError, record
-from .numcore import Sequence, binomial_exact, diff
+from .numcore import Sequence, diff
 
 
 @record
@@ -40,16 +42,17 @@ def forward_differences(samples: Sequence) -> DifferenceTable:
 
 
 def newton_gregory_eval(table: DifferenceTable, x: int):
-    """sum_k coeffs[k] C(x, k); exact on the sample window, extrapolates beyond."""
+    """sum_k coeffs[k] C(x, k); exact on the sample window, extrapolates beyond.
+
+    C(x, k + 1) = C(x, k) (x - k) / (k + 1) is an exact integer quotient, so each binomial costs one
+    multiplication and one division of the last.  A float coefficient makes the sum a float."""
     exact = all(isinstance(c, (int, Fraction)) for c in table.coeffs)
-    total = Fraction(0) if exact else 0.0
+    total, binom = (0 if exact else 0.0), 1
     for k, c in enumerate(table.coeffs):
-        binom = binomial_exact(x, k)
         total += c * binom if exact else c * float(binom)
-    if exact:
-        if total.denominator == 1:
-            return total.numerator
-        return total
+        binom = binom * (x - k) // (k + 1)
+    if exact and total.denominator == 1:
+        return total.numerator
     return total
 
 

@@ -107,13 +107,6 @@ def falling_power(x: int, n: int) -> int:
     return result
 
 
-def binomial_exact(x: int, k: int) -> Fraction:
-    """Generalized binomial [x]^k / k! as an exact rational."""
-    from fractions import Fraction
-
-    return Fraction(falling_power(x, k), math.factorial(k))
-
-
 def exp_trig_exact(a: int, x: int) -> GaussianInteger:
     """(1 + ia)^x for x >= 0; cos(a.x) is the real part, sin(a.x) the imaginary."""
     if x < 0:

@@ -77,7 +77,7 @@ def dense_exp_action(op: OperatorMatrix, alpha, u: list, g: list | None = None) 
     w = dec.eigenvalues
     with np.errstate(all="ignore"):  # e^(iwt) and cos(wt) are nan once w t leaves the float range, refused below
         if g is None:
-            x = dec.apply(np.exp(1j * (w * alpha.imag)) if isinstance(alpha, complex) else np.exp(alpha * w), np.asarray(u))
+            x = dec.apply(np.exp(alpha * w), np.asarray(u))
         else:
             cos, sin = np.cos(w * alpha), np.sin(w * alpha)
             tsinc = np.where(w == 0, alpha, sin / np.where(w == 0, 1.0, w))

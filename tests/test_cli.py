@@ -4,11 +4,14 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import discalc
 from discalc import DomainError, cli, complexes as cx, evolution as ev, expr, forms as fm, vector as vc
+from discalc import interpolate as ip
+from discalc.numcore import Sequence
 
 
 def run_cli(*args, cwd=None):
@@ -129,6 +134,18 @@ class TestTaylor:
         assert r.returncode == 0
         # the all-ones difference table of 2^x
         assert r.stdout.strip() != ""
+
+    def test_print_form_past_the_digit_limit(self, tmp_path):
+        # the top coefficients have numerators and denominators past the interpreter's 4300-digit int-to-str
+        # limit; exact integers print in full
+        rng = random.Random(1)
+        values = tuple(rng.randint(-9, 9) for _ in range(1700))
+        f = tmp_path / "samples.csv"
+        f.write_text("".join(f"{x},{v}\n" for x, v in enumerate(values)))
+        r = run_cli("taylor", "--samples", str(f), "--print")
+        assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+        top = Fraction(ip.forward_differences(Sequence(0, values)).coeffs[-1], math.factorial(1699))
+        assert r.stdout.endswith(f"{discalc.full_str(abs(top.numerator))}/{discalc.full_str(top.denominator)}*[x]^1699\n")
 
     def test_value_without_dot_is_exact(self, tmp_path):
         # the rule of form files too: 1e-3 has no '.', so it is read as 1/1000
@@ -410,6 +427,12 @@ class TestFrontDoor:
         # t ||D||_1 = 600 is past the crossover and D is 10 513 x 10 513, past evolution.MAX_DENSE_DIM
         (("pde", "schrodinger", "--gen", "hexpatch:24", "--t", "100", "--form", "{f}"), {"f": "0,0,1\n"}, 2),
         (("pde", "wave", "--gen", "hexpatch:24", "--t", "100", "--form", "{f}"), {"f": "0,0,1\n"}, 2),
+        # a literal past the interpreter's 4300-digit int-to-str limit is a parse error
+        (("eval", "1" * 5000 + "*x", "--at", "2"), {}, 1),
+        (("sum", "1" * 5000, "--from", "0", "--to", "3"), {}, 1),
+        # nesting past the interpreter's recursion limit, in the parser and in the derivative of a product
+        (("eval", "(" * 300 + "x" + ")" * 300, "--at", "2"), {}, 2),
+        (("eval", "*".join(["x"] * 1200), "--at", "2", "--op", "diff"), {}, 2),
     ], ids=["gen-not-int", "file-not-json", "file-no-edges", "file-negative-vertex-count", "file-bool-vertex-count",
             "file-bool-endpoint", "simplex-descending",
             "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
@@ -426,7 +449,8 @@ class TestFrontDoor:
             "wave-drift-past-float", "fn-vertex-twice", "form-simplex-twice",
             "taylor-print-unanchored", "samples-field-past-csv-limit", "complete-past-simplex-bound",
             "hexpatch-past-vertex-bound", "file-past-vertex-bound", "dirac-past-printed-cells",
-            "schrodinger-past-dense-bound", "wave-past-dense-bound"])
+            "schrodinger-past-dense-bound", "wave-past-dense-bound", "eval-literal-past-digit-limit",
+            "sum-literal-past-digit-limit", "eval-nested-past-recursion-limit", "diff-product-past-recursion-limit"])
     def test_malformed_input_exit_code(self, tmp_path, args, files, code):
         paths = {"o": str(tmp_path / "out.svg")}
         for key, text in files.items():
@@ -792,10 +816,15 @@ class TestFuzz:
         assert run_case(case) in (0, 1, 2)
 
 
-class TestOneSubparser:
-    # argparse reads only what cli._read_argv declines; its parser holds all seven subparsers
+class TestHelp:
+    # argparse reads only what cli._read_argv declines; its parser holds a subparser for each entry of cli._SUBCOMMANDS
 
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_subcommand_resolves_to_a_handler(self):
+        for command in cli._SUBCOMMANDS:
+            handler = cli._handler(command)
+            assert callable(handler) and handler.__name__ == f"cmd_{command}"
+
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
     def test_subcommand_help_is_unchanged(self, command):
         r = run_cli(command, "-h")
         assert r.returncode == 0 and r.stdout.startswith(f"usage: discalc {command} "), r.stderr

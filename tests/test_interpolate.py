@@ -59,6 +59,24 @@ class TestNewtonGregoryEval:
             row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
         assert all(v == 0 for v in row)
 
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50),
+                              st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+           st.integers(-10**6, 10**6))
+    def test_running_binomial_matches_falling_power(self, coeffs, x):
+        # the oracle builds each C(x, k) afresh as [x]^k / k!; a float coefficient makes the sum a float,
+        # added from 0.0 in the same order, so it agrees bit for bit
+        table = ip.DifferenceTable(tuple(coeffs))
+        binoms = [Fraction(falling_power(x, k), math.factorial(k)) for k in range(len(coeffs))]
+        value = ip.newton_gregory_eval(table, x)
+        if any(isinstance(c, float) for c in coeffs):
+            expected = 0.0
+            for c, b in zip(coeffs, binoms):
+                expected += c * float(b)
+            assert value.hex() == expected.hex()
+        else:
+            expected = sum((c * b for c, b in zip(coeffs, binoms)), Fraction(0))
+            assert value == expected and type(value) is (int if expected.denominator == 1 else Fraction)
+
     def test_rational_table(self):
         table = ip.DifferenceTable((Fraction(1, 2), Fraction(1, 3)))
         assert ip.newton_gregory_eval(table, 3) == Fraction(3, 2)
