@@ -20,7 +20,7 @@ print("continuation to x = 11, 12:",
       ip.newton_gregory_eval(table, 10), ip.newton_gregory_eval(table, 11))
 
 # The closed form itself, in the expression language
-fit = ip.interpolate_fit(samples)
+fit = ip.interpolate_fit(table)
 print("closed form:", expr.to_string(fit))
 
 # The exponential 2^x has the all-ones difference table, so its Taylor

@@ -9,12 +9,12 @@ all equal the Euler characteristic.  All three are computed exactly.
 
 import random
 
-from discalc import complexes as cx, topology as tp
+from discalc import complexes as cx, homology as hm, topology as tp
 
 for spec in ("octahedron", "icosahedron", "cube", "cycle:7", "wheel:6"):
     c = cx.build_complex(cx.parse_generator(spec))
-    chi = tp.euler_characteristic(c)
-    print(f"{spec:12s} chi = {chi:3d}  betti = {tp.betti(c)}  "
+    chi = hm.euler_characteristic(c)
+    print(f"{spec:12s} chi = {chi:3d}  betti = {hm.betti(c)}  "
           f"sum of curvature = {sum(tp.curvature_vector(c))}")
 
 # Poincare-Hopf: indices of a height function on the octahedron

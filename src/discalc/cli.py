@@ -9,6 +9,7 @@ against their classical counterparts.
 from __future__ import annotations
 
 import gc
+import importlib
 import math
 import os
 import sys
@@ -16,14 +17,17 @@ import sys
 from . import DomainError, ParseError, full_str
 
 # Each subcommand imports the library modules it runs, and a reader of exact input imports fractions:
-# a scalar command loads no graph module, a graph command loads neither numcore nor forms, and only a
-# `pde` flow past evolution.DENSE_CROSSOVER loads discalc.spectral and numpy.  The graph, forms and pde
-# handlers live in discalc.graphcli.  argparse is loaded only for a command line that _read_argv declines.
+# a scalar command loads no graph module, a graph command loads neither numcore nor forms, graph info and
+# betti load discalc.homology but not discalc.topology, and only a `pde` flow past
+# evolution.DENSE_CROSSOVER loads discalc.spectral and numpy.  The graph handler lives in discalc.graphcli,
+# the forms and pde handlers in discalc.formscli; both read their graphs and CSV files through the loaders
+# here.  argparse is loaded only for a command line that _read_argv declines.
 # The annotations name modules without importing them.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 
+    from . import complexes as cx
     from . import forms
     from .numcore import Sequence
 
@@ -98,6 +102,17 @@ def _csv_value(text: str, path: str):
     return _parsed(_rational if "/" in text or "." not in text else _finite, text, path)
 
 
+def _load_graph(args) -> cx.Graph:
+    from . import complexes as cx
+
+    if args.gen:
+        return _parsed(cx.parse_generator, args.gen, "--gen")
+    if args.file:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            return _parsed(cx.Graph.from_json, fh.read(), args.file)
+    raise UsageError("need --gen NAME[:N] or --file PATH")
+
+
 def _load_samples(path: str) -> Sequence:
     from .numcore import Sequence
 
@@ -158,14 +173,14 @@ def cmd_taylor(args, out):
     print_form = args.print_form or args.eval is None
     if print_form and samples.base != 0:  # checked before the first write: an error leaves stdout empty
         raise DomainError("--print needs samples anchored at x = 0")
+    # built once for both answers; a nonzero window start is handled by shifting the variable
+    table = ip.forward_differences(Sequence(0, samples.values))
     if args.eval is not None:
-        # a nonzero window start is handled by shifting the variable
-        table = ip.forward_differences(Sequence(0, samples.values))
         out.write(fmt(ip.newton_gregory_eval(table, args.eval - samples.base)) + "\n")
     if print_form:
         from . import expr  # only the fitted form is an expression: --eval alone never loads the language
 
-        out.write(expr.to_string(ip.interpolate_fit(samples)) + "\n")
+        out.write(expr.to_string(ip.interpolate_fit(table)) + "\n")
     return 0
 
 
@@ -238,7 +253,8 @@ _SUBCOMMANDS = {
         (["--out"], {"required": True}),
     ]),
 }
-_GRAPH_SIDE = ("graph", "forms", "pde")  # the subcommands whose handler, cmd_<subcommand>, is in discalc.graphcli
+# the module of each subcommand whose handler, cmd_<subcommand>, is not in this one
+_HANDLER_MODULES = {"graph": "graphcli", "forms": "formscli", "pde": "formscli"}
 
 
 class _Arguments:
@@ -331,10 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _handler(command: str):
-    """cmd_<command>, looked up as it runs so that a rebound name is called; graphcli loads for its commands only."""
-    module = sys.modules[__name__]
-    if command in _GRAPH_SIDE:
-        from . import graphcli as module
+    """cmd_<command>, looked up as it runs so that a rebound name is called; a handler module of
+    _HANDLER_MODULES loads for its own commands only."""
+    name = _HANDLER_MODULES.get(command)
+    module = importlib.import_module(f"{__package__}.{name}") if name else sys.modules[__name__]
     return getattr(module, f"cmd_{command}")
 
 

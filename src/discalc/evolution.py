@@ -11,7 +11,8 @@ solve (Paige & Saunders), which also gives the norm of the harmonic part of the
 current, the part no solve reaches.  Each public entry scales its input by a
 power of two once (``_unit``) and decides there: a divergence, gauge residual
 or harmonic norm is rounding when it is at most ``SOURCE_TOL`` times
-max |current|, so no decision depends on the input's size.
+max |current|, so no decision depends on the input's size.  The divergence of
+an exact current, of ints and Fractions, is decided exactly instead.
 
 The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
 taken from one dense eigendecomposition instead, in ``discalc.spectral``; only
@@ -26,7 +27,7 @@ import math
 
 from . import DomainError
 from .complexes import GraphComplex
-from .forms import Form, OperatorMatrix, dirac, exterior_derivative, laplacian, laplacian_block, total_dim
+from .forms import Form, OperatorMatrix, _gram, dirac, exterior_derivative, laplacian_block, total_dim
 
 # exact sources on the size ladder and random clique complexes left at most 1.6e-15 of max |source|
 SOURCE_TOL = 1e-10
@@ -234,11 +235,17 @@ def schrodinger_flow(c: GraphComplex, f0, t: float) -> list:
 def wave_flow(c: GraphComplex, f0, g0, t: float) -> tuple:
     """(u, u_t) at time t for u'' = -Lu, u(0) = f0 and u_t(0) = g0: u = cos(Dt) f0 + sin(Dt) D^-1 g0
     and u_t = -D sin(Dt) f0 + cos(Dt) g0, where sin(wt)/w is t at w = 0, so the harmonic part of g0
-    drifts as t times itself."""
+    drifts as t times itself.  With no edges L = 0, and u = f0 + t g0 at any t."""
     n = total_dim(c)
     x, e = _unit(_state(c, f0, float) + _state(c, g0, float))  # f || g, then u || u_t
-    lap = laplacian(c)
-    sigma = math.sqrt(_norm1(lap)) or 1.0  # balances u and w; with no edges L = 0, and any sigma does
+    d = dirac(c)
+    lap = _gram(d)  # L = D^2 = D^T D, with D kept for the dense route
+    sigma = math.sqrt(_norm1(lap))  # balances u and w
+    if not sigma:  # no edges: L = 0, so u = f + t g and u_t = g
+        u = [a + t * b for a, b in zip(x[:n], x[n:])]
+        if not all(map(math.isfinite, u)):
+            raise DomainError(f"the flow leaves the float range at t = {abs(t)!r}")
+        return _ldexp(u, e), _ldexp(x[n:], e)
     cost = abs(t) * sigma
     if cost <= DENSE_CROSSOVER:
         pairs = _pairs(lap)
@@ -253,7 +260,7 @@ def wave_flow(c: GraphComplex, f0, g0, t: float) -> tuple:
         _check_dense(n)
         from .spectral import dense_exp_action
 
-        x = dense_exp_action(dirac(c), t, x[:n], x[n:])
+        x = dense_exp_action(d, t, x[:n], x[n:])
     return _ldexp(x[:n], e), _ldexp(x[n:], e)
 
 
@@ -265,24 +272,43 @@ class HarmonicComponentError(DomainError):
         self.norm = norm
 
 
+def _exactly_divergence_free(c: GraphComplex, values) -> bool:
+    """d_0^T j = 0 for a current of ints and Fractions, decided in Python ints once every value is
+    scaled by the lcm of the denominators."""
+    scale = math.lcm(*(x.denominator for x in values))
+    div = [0] * c.count(0)
+    for row, x in zip(c.faces[1] if c.top_dim >= 1 else (), values):
+        v = x.numerator * (scale // x.denominator)
+        for i, sign in row.items():
+            div[i] += sign * v
+    return not any(div)
+
+
 def poisson_maxwell(c: GraphComplex, j: Form):
     """Solve L A = j for a divergence-free current, return (A, F = dA).
 
     Rejects a divergence (Kirchhoff, d0* j = 0) or a harmonic component
-    beyond rounding.  The Coulomb gauge d0* A = L_0+ d0* j is the same check
+    beyond rounding; an exact current, of ints and Fractions, must have no
+    divergence at all.  The Coulomb gauge d0* A = L_0+ d0* j is the same check
     after the solve: L_0+ can amplify a divergence the first one lets through.
     Asserts dF = 0.
     """
+    import numbers
+
     if j.degree != 1:
         raise DomainError("current must be a 1-form")
     ju, e = _unit([float(x) for x in j.values])
+    exact = all(isinstance(x, numbers.Rational) for x in j.values)
+    if exact and not _exactly_divergence_free(c, j.values):
+        raise DomainError("Kirchhoff violated: current has nonzero divergence")
     d0t = _pairs(exterior_derivative(c, 0).transpose())
 
     def check_kirchhoff(v):
         if _max_abs(_matvec(d0t, v)) > SOURCE_TOL * _max_abs(ju):
             raise DomainError("Kirchhoff violated: current has nonzero divergence")
 
-    check_kirchhoff(ju)
+    if not exact:
+        check_kirchhoff(ju)
     av = _minres(laplacian_block(c, 1), ju)
     check_kirchhoff(av)
     fv = _matvec(_pairs(exterior_derivative(c, 1)), av)

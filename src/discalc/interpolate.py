@@ -56,13 +56,12 @@ def newton_gregory_eval(table: DifferenceTable, x: int):
     return total
 
 
-def interpolate_fit(samples: Sequence):
-    """Closed-form interpolant sum_k coeffs[k] [x]^k / k! matching every sample.
+def interpolate_fit(table: DifferenceTable):
+    """Closed-form interpolant sum_k coeffs[k] [x]^k / k! of a difference table, matching every sample.
 
     Returns an expression tree (see :mod:`discalc.expr`); its evaluation
     agrees with the samples exactly for integer/rational data.
     """
     from . import expr  # the one function here that builds an expression: evaluation never loads the language
 
-    table = forward_differences(samples)
     return expr.from_difference_table(table.coeffs)

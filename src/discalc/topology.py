@@ -1,15 +1,14 @@
-"""Euler characteristic, Betti numbers, curvature, critical-point indices and the unit-sphere classifier.
+"""Curvature, critical-point indices, the unit-sphere classifier and level curves: the local invariants.
 
 Everything is exact: curvature and index expectations are rationals, built by
-the functions that import ``fractions``, so ``graph betti``, ``info`` and
-``classify`` never load it.  Curvature and Poincare-Hopf indices are read from
-the simplices in one pass each; the index expectation is a local enumeration
-at each vertex.  Betti numbers come from the rank over Q of each d_k, whose
-rows are the signed rows of the face table ``GraphComplex.faces``, by sparse
-fraction-free elimination on Python ints (no matrix, no modular step).  The
-tests check that rank against a dense Bareiss elimination of their own.  The
+the functions that import ``fractions``, so ``graph classify`` never loads it.
+Curvature and Poincare-Hopf indices are read from the simplices in one pass
+each; the index expectation is a local enumeration at each vertex.  The
 classifier reads each unit sphere once, as a ball or sphere of one dimension,
-and a level curve reads the triangles' rows of the face table.
+and a level curve reads the triangles' rows of the face table.  The Euler
+characteristic and the Betti numbers, the global invariants, are in
+``discalc.homology``; classify and the index expectation take the Euler
+characteristic from there.
 """
 
 from __future__ import annotations
@@ -19,51 +18,10 @@ import math
 
 from . import DomainError, record
 from .complexes import Graph, GraphComplex, build_complex
+from .homology import euler_characteristic
 
 
 MAX_EXPECTATION_DEGREE = 10  # index_expectation sums 2^degree subsets per vertex; complete:11 takes about 1 s
-
-
-def euler_characteristic(c: GraphComplex) -> int:
-    return sum((-1) ** k * v for k, v in enumerate(c.counts()))
-
-
-def _sparse_rank(rows) -> int:
-    """Rank over Q of the matrix whose rows are dicts {column: nonzero int}.
-
-    Each row is reduced against stored rows keyed by their pivot (largest)
-    column: r <- a*r - b*p, with a the pivot entry of the stored row p and b
-    the entry of r in that column, then r is divided by the gcd of its
-    entries.  Every step is an invertible row operation over Q on Python
-    ints, so the rank is exact.  A reduction builds a new dict, so the rows
-    passed in, which may be the face table's own, are never changed.
-    """
-    pivots = {}
-    for row in rows:
-        while row:
-            col = max(row)
-            stored = pivots.get(col)
-            if stored is None:
-                pivots[col] = row
-                break
-            a, b = stored[col], row[col]
-            reduced = {j: a * v for j, v in row.items()}
-            for j, v in stored.items():
-                x = reduced.get(j, 0) - b * v
-                if x:
-                    reduced[j] = x
-                else:
-                    del reduced[j]
-            g = math.gcd(*reduced.values())
-            row = {j: v // g for j, v in reduced.items()} if g > 1 else reduced
-    return len(pivots)
-
-
-def betti(c: GraphComplex) -> tuple:
-    """b_k = v_k - rank d_k - rank d_{k-1}; satisfies Euler-Poincare exactly."""
-    # ranks[k] = rank d_{k-1}, read off the face table's rows; d_{-1} and d_top are zero
-    ranks = [0] + [_sparse_rank(rows) for rows in c.faces[1:]] + [0]
-    return tuple(c.count(k) - ranks[k + 1] - ranks[k] for k in range(c.top_dim + 1))
 
 
 def curvature_vector(c: GraphComplex) -> tuple:

@@ -410,6 +410,9 @@ class TestFrontDoor:
          {"f": "1,4-5,1\n1,5-9,1\n1,9-13,1\n1,12-13,-1\n1,8-12,-1\n1,4-8,-1\n"}, 2),
         # a divergence counts against the current's own size, however small
         (("forms", "poisson", "--gen", "hexpatch:2", "--current", "{f}"), {"f": "1,0-1,1e-11\n"}, 2),
+        # an exact current's divergence, 1e-13 here, is decided exactly, below SOURCE_TOL too
+        (("forms", "poisson", "--gen", "complete:3", "--current", "{f}"),
+         {"f": "1,0-1,10000000000001/10000000000000\n1,1-2,1\n1,0-2,-1\n"}, 2),
         # a harmonic velocity drifts as t times itself, here to 1e310
         (("pde", "wave", "--gen", "complete:1", "--t", "1e300", "--form", "{f}", "--velocity", "{g}"),
          {"f": "0,0,0\n", "g": "0,0,1e10\n"}, 2),
@@ -422,7 +425,7 @@ class TestFrontDoor:
         (("graph", "info", "--gen", "complete:30"), {}, 2),
         (("graph", "info", "--gen", "hexpatch:100000"), {}, 2),
         (("graph", "info", "--file", "{g}"), {"g": '{"vertices": 10000000000, "edges": []}'}, 2),
-        # 10 513^2 cells, past graphcli.MAX_PRINTED_CELLS: refused before any row is built or printed
+        # 10 513^2 cells, past formscli.MAX_PRINTED_CELLS: refused before any row is built or printed
         (("forms", "dirac", "--gen", "hexpatch:24"), {}, 2),
         # t ||D||_1 = 600 is past the crossover and D is 10 513 x 10 513, past evolution.MAX_DENSE_DIM
         (("pde", "schrodinger", "--gen", "hexpatch:24", "--t", "100", "--form", "{f}"), {"f": "0,0,1\n"}, 2),
@@ -446,6 +449,7 @@ class TestFrontDoor:
             "eval-power-far-past-result-bound", "sum-exp-past-result-bound", "eval-exp-just-past-result-bound",
             "eval-literal-power-past-result-bound", "eval-no-closed-form",
             "stokes-non-orientable", "poisson-harmonic-current", "poisson-tiny-divergence",
+            "poisson-exact-tiny-divergence",
             "wave-drift-past-float", "fn-vertex-twice", "form-simplex-twice",
             "taylor-print-unanchored", "samples-field-past-csv-limit", "complete-past-simplex-bound",
             "hexpatch-past-vertex-bound", "file-past-vertex-bound", "dirac-past-printed-cells",
@@ -489,7 +493,8 @@ class TestFrontDoor:
 
     def test_scalar_modules_leave_numpy_unloaded(self):
         code = ("import sys, discalc, discalc.numcore, discalc.expr, discalc.interpolate, discalc.complexes, "
-                "discalc.topology, discalc.forms, discalc.vector, discalc.evolution, discalc.cli, discalc.graphcli\n"
+                "discalc.homology, discalc.topology, discalc.forms, discalc.vector, discalc.evolution, discalc.cli, "
+                "discalc.graphcli, discalc.formscli\n"
                 "for m in ('numpy', 'dataclasses'):\n"
                 "    if m in sys.modules: raise SystemExit(m + ' imported by a plain-Python module')")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -527,12 +532,14 @@ class TestFrontDoor:
         ("pde", "wave", "--gen", "wheel:6", "--t", "0.5", "--form", "{w}", "--velocity", "{v}"),
         ("pde", "schrodinger", "--gen", "wheel:6", "--t", "0.5", "--form", "{w}"),
         ("pde", "schrodinger", "--gen", "wheel:6", "--t", "0.5", "--form", "{x}"),
+        # no edges: L = 0 and u = f + t g, answered without the dense route however long the time
+        ("pde", "wave", "--gen", "complete:1", "--t", "100", "--form", "{p}", "--velocity", "{p}"),
     ], ids=["eval", "sum", "taylor-eval", "taylor-print", "plot-sin", "plot-pow", "graph-info", "graph-betti",
             "graph-curvature", "graph-indices", "graph-classify", "forms-stokes", "forms-dirac", "forms-laplacian",
             "forms-laplacian-block", "forms-poisson", "pde-heat", "pde-heat-degree-1", "pde-wave",
-            "pde-wave-velocity", "pde-schrodinger", "pde-schrodinger-float-input"])
+            "pde-wave-velocity", "pde-schrodinger", "pde-schrodinger-float-input", "pde-wave-edgeless"])
     def test_scalar_and_graph_commands_leave_numpy_unloaded(self, tmp_path, args):
-        reads_exact = any(a in ("{s}", "{f}", "{w}", "{h}", "{j}", "{v}") for a in args)
+        reads_exact = any(a in ("{s}", "{f}", "{w}", "{h}", "{j}", "{v}", "{p}") for a in args)
         reads_file = reads_exact or "{x}" in args
         # json is imported only by Graph.to_json and Graph.from_json, which a --gen graph never calls; csv only
         # by the reader of an input file, and discalc.plot only by plot.  argparse, with the gettext and locale
@@ -542,10 +549,16 @@ class TestFrontDoor:
             unloaded.append("csv")
         if args[0] != "plot":
             unloaded.append("discalc.plot")
+        # graph info and betti read discalc.homology alone, the other graph actions discalc.topology, and the
+        # forms and pde handlers, in discalc.formscli, read neither
         if args[0] in ("graph", "forms", "pde"):
             unloaded.append("discalc.numcore")
-        else:
-            unloaded.append("discalc.graphcli")
+        if args[0] != "graph" or args[1] in ("info", "betti"):
+            unloaded.append("discalc.topology")
+        if args[0] != "graph":
+            unloaded += ["discalc.graphcli", "discalc.homology"]
+        if args[0] not in ("forms", "pde"):
+            unloaded.append("discalc.formscli")
         if args[0] == "taylor" and "--print" not in args:
             unloaded.append("discalc.expr")  # only the printed form is an expression
         if args[:2] != ("forms", "stokes"):
@@ -573,9 +586,10 @@ class TestFrontDoor:
         (tmp_path / "current.csv").write_text("1,0-1,1\n1,1-6,1\n1,0-6,-1\n")  # d1* of the triangle 0-1-6
         (tmp_path / "velocity.csv").write_text("1,0-1,-1\n1,0-5,-1\n1,0-6,-1\n")  # D of the vertex 0: in im D
         (tmp_path / "float.csv").write_text("0,0,1.5\n1,0-1,-0.25\n")
+        (tmp_path / "point.csv").write_text("0,0,3\n")
         paths = {"s": tmp_path / "samples.csv", "f": tmp_path / "fn.csv", "w": tmp_path / "form.csv",
                  "h": tmp_path / "heat.csv", "j": tmp_path / "current.csv", "v": tmp_path / "velocity.csv",
-                 "x": tmp_path / "float.csv", "o": tmp_path / "out.svg"}
+                 "x": tmp_path / "float.csv", "p": tmp_path / "point.csv", "o": tmp_path / "out.svg"}
         code = ("import sys\nfrom discalc import cli\ncode = cli.main(sys.argv[1:])\n"
                 "if code: raise SystemExit(f'exit {code}')\n"
                 f"for m in {list(unloaded)!r}:\n"
@@ -599,8 +613,8 @@ class TestFrontDoor:
         for line, names in imported_modules(module):
             assert "typing" not in names, f"{module}.py line {line} imports typing"
 
-    @pytest.mark.parametrize("module", ["cli", "graphcli", "numcore", "expr", "interpolate", "__init__", "complexes",
-                                        "topology", "plot", "evolution", "vector"])
+    @pytest.mark.parametrize("module", ["cli", "graphcli", "formscli", "numcore", "expr", "interpolate", "__init__",
+                                        "complexes", "homology", "topology", "plot", "evolution", "vector"])
     def test_import_boundary_names_no_numpy(self, module):
         # read, not imported: cli.py reaches numpy only through discalc.spectral, past the crossover of evolution
         for line, names in imported_modules(module):

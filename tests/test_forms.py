@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from discalc import DomainError, complexes as cx, evolution as ev, forms as fm, topology as tp, vector as vc
+from discalc import DomainError, complexes as cx, evolution as ev, forms as fm, homology as hm, topology as tp
+from discalc import vector as vc
 
 from conftest import random_connected_graph, random_graph
 
@@ -101,7 +102,7 @@ class TestExteriorDerivative:
             # the readers that share the rows leave them as they were
             fm.laplacian(c)
             fm.laplacian_block(c, 1)
-            tp.betti(c)
+            hm.betti(c)
             vc.apply_d(random_form(random.Random(1), c, 1))
             assert [[dict(row) for row in level] for level in c.faces] == snapshot
 

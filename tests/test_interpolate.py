@@ -84,7 +84,7 @@ class TestNewtonGregoryEval:
 
 class TestInterpolateFit:
     def test_closed_form_cubic(self):
-        fit = ip.interpolate_fit(Sequence(0, (2, 10, 30, 68)))
+        fit = ip.interpolate_fit(ip.forward_differences(Sequence(0, (2, 10, 30, 68))))
         assert expr.evaluate(fit, 10) == 1342
         # the fit equals (x+1)^3 + (x+1) on the shifted axis
         for x in range(8):
@@ -94,13 +94,13 @@ class TestInterpolateFit:
         rng = random.Random(11)
         for _ in range(50):
             values = tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 8)))
-            fit = ip.interpolate_fit(Sequence(0, values))
+            fit = ip.interpolate_fit(ip.forward_differences(Sequence(0, values)))
             for x, v in enumerate(values):
                 assert expr.evaluate(fit, x) == v
 
     def test_fit_of_falling_power(self):
         values = tuple(falling_power(x, 3) for x in range(5))
-        fit = ip.interpolate_fit(Sequence(0, values))
+        fit = ip.interpolate_fit(ip.forward_differences(Sequence(0, values)))
         assert fit == expr.FallingPower(3)
 
     def test_transport_consistency(self):
