@@ -6,13 +6,13 @@ plain Python floats and complexes from the sparse rows of an
 stop (Al-Mohy & Higham, "Computing the action of the matrix exponential",
 SIAM J. Sci. Comput. 2011): heat e^(-tL_k) f, Schroedinger e^(itD) f, and the
 wave u'' = -Lu as the first-order system (u, w)' = [[0, s], [-L/s, 0]] (u, w),
-with w = u'/s and s = sqrt(||L||_1).  The Poisson solve L_1+ j is a MINRES
-solve (Paige & Saunders), which also gives the norm of the harmonic part of the
-current, the part no solve reaches.  Each public entry scales its input by a
-power of two once (``_unit``) and decides there: a divergence, gauge residual
-or harmonic norm is rounding when it is at most ``SOURCE_TOL`` times
-max |current|, so no decision depends on the input's size.  The divergence of
-an exact current, of ints and Fractions, is decided exactly instead.
+with w = u'/s and s = sqrt(||L||_1).  The Poisson solve L_1+ j takes two MINRES
+passes (Paige & Saunders); the residual of the first is, up to rounding, the
+harmonic part of the current, the part no solve reaches.  Each public entry
+scales its input by a power of two once (``_unit``) and decides there: a
+divergence, gauge residual or harmonic norm is rounding when it is at most
+``SOURCE_TOL`` times max |current|, so no decision depends on the input's size.
+The divergence of an exact current, of ints and Fractions, is decided exactly.
 
 The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
 taken from one dense eigendecomposition instead, in ``discalc.spectral``; only
@@ -48,8 +48,9 @@ TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35
                 45: 7.2, 50: 8.5, 55: 9.9}
 UNIT_ROUNDOFF = 2.0 ** -53
 # ||A r|| / (||A||_1 ||r||) below which a MINRES residual r counts as the part of b in ker A.  Once
-# it is, Lanczos loses orthogonality and the iterates blow up; for L_1 and D of annulus:2..8, D of
-# hexpatch:8..10 and random clique complexes the ratio bottomed out at 1e-9 to 6e-9
+# it is, Lanczos loses orthogonality and the iterates blow up.  Only the first pass of the Poisson solve
+# on a current with a harmonic part reaches it: for L_1 of annulus:2..8, moebius and random clique
+# complexes, with a harmonic part of 1e-11 to 1 times max |j|, the ratio bottomed out at 8e-9 or below
 MINRES_KERNEL_RESIDUAL = 1e-7
 
 
@@ -146,21 +147,22 @@ def _taylor_action(step, cost: float, u: list) -> list:
 
 
 def _minres(op: OperatorMatrix, b: list) -> list:
-    """A+ b for the symmetric, possibly singular system A x = b, by MINRES (Paige & Saunders, SIAM
-    J. Numer. Anal. 1975); HarmonicComponentError when the part h of b in ker A, which no x
-    reaches, is more than rounding.
+    """A+ b for the symmetric, possibly singular system A x = b, by two MINRES passes (Paige &
+    Saunders, SIAM J. Numer. Anal. 1975); HarmonicComponentError when the part h of b in ker A,
+    which no x reaches, is more than rounding.
 
-    The residual r of a first solve is h plus the solve's rounding error, which lies in the range
-    of A, so h = r - A+ A r.  b - h is in the range of A, and the MINRES iterates for it from
-    x = 0 stay there: they converge to A+ b.  b has max-norm below 1.
+    The residual r = b - A x_1 of the first pass is h plus that pass's rounding error, which lies in
+    the range of A and so is orthogonal to h: ||r|| is ||h|| to second order in it.  x_1 also
+    carries a part in ker A, so the second pass solves for A x_1, which is in the range of A; its
+    iterates from x = 0 stay there and converge to A+ b.  b has max-norm below 1.
     """
     pairs, anorm = _pairs(op), _norm1(op)
-    r = [a - c for a, c in zip(b, _matvec(pairs, _minres_run(pairs, anorm, b)))]
-    h = [a - c for a, c in zip(r, _minres_run(pairs, anorm, _matvec(pairs, r)))]
-    hnorm, peak = math.sqrt(_dot(h, h)), _max_abs(b)
+    ax = _matvec(pairs, _minres_run(pairs, anorm, b))
+    r = [a - c for a, c in zip(b, ax)]
+    hnorm, peak = math.sqrt(_dot(r, r)), _max_abs(b)
     if hnorm > SOURCE_TOL * peak:
         raise HarmonicComponentError("current has a harmonic component", hnorm / peak)
-    return _minres_run(pairs, anorm, [a - c for a, c in zip(b, h)])
+    return _minres_run(pairs, anorm, ax)
 
 
 def _minres_run(pairs, anorm: float, b: list) -> list:
@@ -272,16 +274,15 @@ class HarmonicComponentError(DomainError):
         self.norm = norm
 
 
-def _exactly_divergence_free(c: GraphComplex, values) -> bool:
-    """d_0^T j = 0 for a current of ints and Fractions, decided in Python ints once every value is
-    scaled by the lcm of the denominators."""
-    scale = math.lcm(*(x.denominator for x in values))
+def _check_kirchhoff(c: GraphComplex, v, tol):
+    """DomainError unless every entry of d_0^T v is at most tol; each vertex adds the signed values
+    of its edges, in edge order."""
     div = [0] * c.count(0)
-    for row, x in zip(c.faces[1] if c.top_dim >= 1 else (), values):
-        v = x.numerator * (scale // x.denominator)
+    for row, x in zip(c.faces[1] if c.top_dim >= 1 else (), v):
         for i, sign in row.items():
-            div[i] += sign * v
-    return not any(div)
+            div[i] += sign * x
+    if _max_abs(div) > tol:
+        raise DomainError("Kirchhoff violated: current has nonzero divergence")
 
 
 def poisson_maxwell(c: GraphComplex, j: Form):
@@ -289,28 +290,24 @@ def poisson_maxwell(c: GraphComplex, j: Form):
 
     Rejects a divergence (Kirchhoff, d0* j = 0) or a harmonic component
     beyond rounding; an exact current, of ints and Fractions, must have no
-    divergence at all.  The Coulomb gauge d0* A = L_0+ d0* j is the same check
-    after the solve: L_0+ can amplify a divergence the first one lets through.
-    Asserts dF = 0.
+    divergence at all, decided in Python ints once every value is scaled by
+    the lcm of the denominators.  The Coulomb gauge d0* A = L_0+ d0* j is the
+    same check after the solve: L_0+ can amplify a divergence the first one
+    lets through.  On a complex with tetrahedra, asserts dF = 0.
     """
     import numbers
 
     if j.degree != 1:
         raise DomainError("current must be a 1-form")
     ju, e = _unit([float(x) for x in j.values])
-    exact = all(isinstance(x, numbers.Rational) for x in j.values)
-    if exact and not _exactly_divergence_free(c, j.values):
-        raise DomainError("Kirchhoff violated: current has nonzero divergence")
-    d0t = _pairs(exterior_derivative(c, 0).transpose())
-
-    def check_kirchhoff(v):
-        if _max_abs(_matvec(d0t, v)) > SOURCE_TOL * _max_abs(ju):
-            raise DomainError("Kirchhoff violated: current has nonzero divergence")
-
-    if not exact:
-        check_kirchhoff(ju)
+    tol = SOURCE_TOL * _max_abs(ju)
+    if all(isinstance(x, numbers.Rational) for x in j.values):
+        scale = math.lcm(*(x.denominator for x in j.values))
+        _check_kirchhoff(c, [x.numerator * (scale // x.denominator) for x in j.values], 0)
+    else:
+        _check_kirchhoff(c, ju, tol)
     av = _minres(laplacian_block(c, 1), ju)
-    check_kirchhoff(av)
+    _check_kirchhoff(c, av, tol)
     fv = _matvec(_pairs(exterior_derivative(c, 1)), av)
     # d2 d1 = 0 exactly on the integer rows: dF is the rounding of F = dA
     if _max_abs(_matvec(_pairs(exterior_derivative(c, 2)), fv)) > SOURCE_TOL * _max_abs(av):

@@ -452,6 +452,31 @@ class TestDenseOracle:
             dense = dec.apply(pinv_spectrum(dec), np.asarray(j, dtype=float))
             assert np.abs(np.asarray(A.values) - dense).max() <= 1e-11 * (1 + max(map(abs, j))), spec
 
+    @pytest.mark.parametrize("size", [1e-11, 1e-9], ids=["accepted", "refused"])
+    def test_harmonic_part_near_the_tolerance(self, size):
+        # annulus:6 has one harmonic 1-form.  A float current d1* B plus a harmonic part of 2-norm
+        # 1e-11 max |j| is answered with L_1+ j, whose harmonic part is 0; the solve for A x_1 must
+        # not keep the part of the first solution x_1 in ker L_1.  At 1e-9 max |j| it is refused
+        c = complex_of("annulus:6")
+        dec = sp.sym_eigen(fm.laplacian_block(c, 1))
+        rng = random.Random(6)
+        j = np.zeros(c.count(1))
+        for row in c.faces[2]:
+            b = rng.uniform(-1, 1)
+            for f, s in row.items():
+                j[f] += s * b
+        h = dec.apply(dec.kernel, np.asarray([rng.uniform(-1, 1) for _ in j]))
+        j += size * np.abs(j).max() / np.linalg.norm(h) * h
+        dense_norm = np.linalg.norm(dec.apply(dec.kernel, j)) / np.abs(j).max()
+        if size > ev.SOURCE_TOL:
+            with pytest.raises(ev.HarmonicComponentError) as exc:
+                ev.poisson_maxwell(c, fm.Form(c, 1, j.tolist()))
+            assert exc.value.norm == pytest.approx(dense_norm, rel=1e-6)
+            return
+        A, _ = ev.poisson_maxwell(c, fm.Form(c, 1, j.tolist()))
+        dense = dec.apply(pinv_spectrum(dec), j)
+        assert np.abs(np.asarray(A.values) - dense).max() <= 1e-11 * (1 + np.abs(dense).max())
+
     def test_large_exact_velocity_has_no_harmonic_part(self):
         # g = D r exactly; ker D holds the constants (and on the annulus a harmonic 1-form), and
         # the rounding of the input is none of them, so nothing drifts
