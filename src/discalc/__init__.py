@@ -1,9 +1,10 @@
 """Exact difference calculus on the integers and exterior calculus on graphs.
 
 The package holds what every command shares: the two error types the command line maps to its exit
-codes, ``record``, the frozen-record decorator of the library's value types, and ``full_str``, which
-prints an exact number in full.  Each submodule serves the commands that run it (see the README's
-library layout), so a process imports only those.
+codes, ``record``, the frozen-record decorator of the library's value types, ``full_str``, which
+prints an exact number in full, and ``normalized``, which makes an integral exact value an ``int``.
+Each submodule serves the commands that run it (see the README's library layout), so a process
+imports only those.
 """
 
 import sys
@@ -36,6 +37,12 @@ def full_str(value) -> str:
             return str(value)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def normalized(value):
+    """value as an ``int`` when it is an exact value with denominator 1, such as ``Fraction(4, 2)``; any
+    other value, a float included, unchanged."""
+    return value.numerator if getattr(value, "denominator", None) == 1 else value
 
 
 def record(cls):

@@ -13,8 +13,9 @@ import importlib
 import math
 import os
 import sys
+import types
 
-from . import DomainError, ParseError, full_str
+from . import DomainError, ParseError, full_str, normalized
 
 # Each subcommand imports the library modules it runs, and a reader of exact input imports fractions:
 # a scalar command loads no graph module, a graph command loads neither numcore nor forms, graph info and
@@ -89,11 +90,12 @@ def _csv_rows(path: str, header: str, width: int):
 
 
 def _rational(text: str):
-    """The exact rational that text spells (3, -2/3, 1e-11).  fractions is imported here, by the first
-    exact value a command reads, so a command that reads none never loads it."""
+    """The exact rational that text spells (3, -2/3, 1e-11), an ``int`` when it is integral: int
+    comparisons and sums cost less.  fractions is imported here, by the first exact value a command reads,
+    so a command that reads none never loads it."""
     from fractions import Fraction
 
-    return Fraction(text)
+    return normalized(Fraction(text))
 
 
 def _csv_value(text: str, path: str):
@@ -118,15 +120,16 @@ def _load_samples(path: str) -> Sequence:
 
     pairs = []
     for row in _csv_rows(path, "x", 2):
-        value = _csv_value(row[1].strip(), path)
-        if not isinstance(value, float) and value.denominator == 1:
-            value = value.numerator
-        pairs.append((_parsed(int, row[0], path), value))
+        pairs.append((_parsed(int, row[0], path), _csv_value(row[1].strip(), path)))
     pairs.sort()
     if not pairs:
         raise DomainError("no samples in file")
-    base = pairs[0][0]
-    if [x for x, _ in pairs] != list(range(base, base + len(pairs))):
+    xs = [x for x, _ in pairs]
+    for x, after in zip(xs, xs[1:]):  # checked once every row is read: an unreadable row is reported first
+        if x == after:
+            raise DomainError(f"x = {x} given twice")
+    base = xs[0]
+    if xs != list(range(base, base + len(xs))):
         raise DomainError("samples must cover consecutive integers")
     return Sequence(base, tuple(v for _, v in pairs))
 
@@ -257,13 +260,6 @@ _SUBCOMMANDS = {
 _HANDLER_MODULES = {"graph": "graphcli", "forms": "formscli", "pde": "formscli"}
 
 
-class _Arguments:
-    """The arguments of one command line as attributes, like the namespace argparse returns."""
-
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
-
-
 def _negative_number(word: str) -> bool:
     """word is -N, -N.N or -.N in ASCII digits: a strict subset of the words argparse reads as a negative
     number, so as a value and not an option, in a parser with no option that looks like one."""
@@ -275,7 +271,7 @@ def _negative_number(word: str) -> bool:
     return whole.isdigit()
 
 
-def _read_argv(argv: list) -> _Arguments | None:
+def _read_argv(argv: list) -> types.SimpleNamespace | None:
     """The arguments of a plain command line, read by the table _SUBCOMMANDS; None when argparse must read it.
 
     A plain command line is a command word, then its positional argument and its options, by their exact
@@ -325,7 +321,7 @@ def _read_argv(argv: list) -> _Arguments | None:
             return None
         values[dest] = value
         given.add(dest)
-    return _Arguments(values) if required <= given else None
+    return types.SimpleNamespace(**values) if required <= given else None
 
 
 def build_parser() -> argparse.ArgumentParser:

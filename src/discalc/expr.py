@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import DomainError, ParseError, full_str, record
+from . import DomainError, ParseError, full_str, normalized, record
 from .numcore import exp_trig_exact, falling_power, log_discrete, reciprocal
 
 
@@ -135,14 +135,6 @@ def scale(c, node) -> object:
     return make_product([Const(Fraction(c)), node])
 
 
-def negate(node) -> object:
-    if isinstance(node, Const):
-        return Const(-node.value)
-    if isinstance(node, Product) and isinstance(node.factors[0], Const):
-        return make_product([Const(-node.factors[0].value)] + list(node.factors[1:]))
-    return make_product([Const(Fraction(-1)), node])
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -227,11 +219,11 @@ class _Parser:
             negated = True
         terms = [self.term()]
         if negated:
-            terms[0] = negate(terms[0])
+            terms[0] = scale(-1, terms[0])
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             t = self.term()
-            terms.append(negate(t) if op == "-" else t)
+            terms.append(scale(-1, t) if op == "-" else t)
         return make_sum(terms)
 
     def term(self):
@@ -387,12 +379,6 @@ def to_string(node) -> str:
 # Evaluation
 
 
-def _norm(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
-
-
 def _bound_power(node, v: int, n: int) -> None:
     """DomainError unless v^n, at most n * ceil(log2 |v|) + 1 bits, fits in MAX_RESULT_BITS."""
     bits = n * max(abs(v) - 1, 0).bit_length() + 1
@@ -443,7 +429,7 @@ def evaluate(node, x: int):
     A power or product that could pass MAX_RESULT_BITS raises DomainError, a power before it is computed.
     """
     if isinstance(node, Const):
-        return _norm(node.value)
+        return normalized(node.value)
     if isinstance(node, FallingPower):
         _bound_power(node, max(abs(x), abs(x - node.n + 1)), 0 if 0 <= x < node.n else node.n)
         return falling_power(x, node.n)
@@ -454,13 +440,13 @@ def evaluate(node, x: int):
         if node.c == 0 and x < 0:
             raise DomainError("0^x undefined for negative x")
         _bound_power(node, max(abs(node.c.numerator), node.c.denominator), abs(x))
-        return _norm(node.c ** x)
+        return normalized(node.c ** x)
     if isinstance(node, Trig):
         # |1 + ia|^2 = 1 + a^2 bounds each part of (1 + ia)^x and the denominator at x < 0
         _bound_power(node, 1 + node.a * node.a, abs(x))
         z = exp_trig_exact(node.a if x >= 0 else -node.a, abs(x))  # (1 + ia)^-n = (1 - ia)^n / (1 + a^2)^n
         part = z.im if node.kind == "sin" else z.re
-        return part if x >= 0 else _norm(Fraction(part, (1 + node.a * node.a) ** -x))
+        return part if x >= 0 else normalized(Fraction(part, (1 + node.a * node.a) ** -x))
     if isinstance(node, Log):
         return log_discrete(x)
     if isinstance(node, Reciprocal):
@@ -469,14 +455,14 @@ def evaluate(node, x: int):
         total = 0
         for t in node.terms:
             total = total + evaluate(t, x)
-        return _norm(total)
+        return normalized(total)
     if isinstance(node, Product):
         total = 1
         for f in node.factors:
             total = total * evaluate(f, x)
         if isinstance(total, (int, Fraction)):  # bounded factors multiply fast, but their product may not print fast
             _bound_power(node, max(abs(total.numerator), total.denominator), 1)
-        return _norm(total)
+        return normalized(total)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -520,10 +506,9 @@ def derivative(node):
     if isinstance(node, FallingPower):
         if node.n == 0:
             return ZERO
-        base = FallingPower(node.n - 1) if node.n > 1 else FallingPower(1)
         if node.n == 1:
             return ONE
-        return scale(node.n, base)
+        return scale(node.n, FallingPower(node.n - 1))
     if isinstance(node, PlainPower):
         return derivative(plain_to_falling(node.n))
     if isinstance(node, ExpBase):
@@ -603,5 +588,5 @@ def definite_sum(node, lo: int, hi: int):
         total = 0  # a plain left-to-right loop: sum() compensates float sums on Python >= 3.12
         for k in range(lo, hi):
             total = total + evaluate(node, k)
-        return _norm(total)
-    return _norm(evaluate(anti, hi) - evaluate(anti, lo))
+        return normalized(total)
+    return normalized(evaluate(anti, hi) - evaluate(anti, lo))

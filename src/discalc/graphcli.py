@@ -19,8 +19,7 @@ def _load_vertex_fn(path: str, n: int) -> list:
             raise DomainError(f"vertex {v} out of range")
         if values[v] is not None:
             raise DomainError(f"vertex {v} given twice")
-        value = _parsed(_rational, row[1], path)
-        values[v] = value.numerator if value.denominator == 1 else value  # int comparisons cost less
+        values[v] = _parsed(_rational, row[1], path)
     if any(v is None for v in values):
         raise DomainError("function file does not cover every vertex")
     return values

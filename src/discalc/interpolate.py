@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import DomainError, record
+from . import DomainError, normalized, record
 from .numcore import Sequence, diff
 
 
@@ -51,9 +51,7 @@ def newton_gregory_eval(table: DifferenceTable, x: int):
     for k, c in enumerate(table.coeffs):
         total += c * binom if exact else c * float(binom)
         binom = binom * (x - k) // (k + 1)
-    if exact and total.denominator == 1:
-        return total.numerator
-    return total
+    return normalized(total)
 
 
 def interpolate_fit(table: DifferenceTable):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import DomainError, record
+from . import DomainError, normalized, record
 
 
 #: Marker returned by :func:`tan_discrete` where cos vanishes.
@@ -208,7 +208,4 @@ def harmonic_eval(a: int, c_cos, c_sin, x: int):
     from fractions import Fraction
 
     z = exp_trig_exact(a, x)
-    value = Fraction(c_cos) * z.re + Fraction(c_sin) * z.im
-    if value.denominator == 1:
-        return value.numerator
-    return value
+    return normalized(Fraction(c_cos) * z.re + Fraction(c_sin) * z.im)

@@ -148,12 +148,8 @@ def stokes_sides(c: GraphComplex, region, F: Form):
     """
     k = F.degree
     orientation = orient_region(c, k + 1, region)
-    lhs = integrate(apply_d(F), region, orientation)
-    idx = c.index[k]
-    rhs = 0
-    for f, sign in orientation.boundary_signs.items():
-        rhs = rhs + sign * F.values[idx[f]]
-    return lhs, rhs
+    boundary = orientation.boundary_signs
+    return integrate(apply_d(F), region, orientation), integrate(F, boundary, Orientation(k, boundary, {}))
 
 
 def stokes_residual(c: GraphComplex, region, F: Form):
@@ -290,15 +286,6 @@ def _tree_cycle(parent, a, b) -> list:
         return path
 
     pa, pb = root_path(a), root_path(b)
-    common = set(pa) & set(pb)
-    trimmed_a = []
-    for v in pa:
-        trimmed_a.append(v)
-        if v in common:
-            break
-    trimmed_b = []
-    for v in pb:
-        if v in common and v == trimmed_a[-1]:
-            break
-        trimmed_b.append(v)
-    return trimmed_a + trimmed_b[::-1] + [a]
+    on_a = set(pa)
+    j = next(i for i, v in enumerate(pb) if v in on_a)  # pb[j] is the lowest common ancestor of a and b
+    return pa[:pa.index(pb[j]) + 1] + pb[:j][::-1] + [a]

@@ -162,6 +162,20 @@ class TestTaylor:
         f.write_text("0,1\n2,3\n")
         assert run_cli("taylor", "--samples", str(f), "--eval", "1").returncode == 2
 
+    def test_repeated_x_is_named(self, tmp_path):
+        f = tmp_path / "samples.csv"
+        f.write_text("0,1\n1,2\n2,4\n1,3\n")
+        r = run_cli("taylor", "--samples", str(f), "--eval", "3")
+        assert r.returncode == 2 and "x = 1 given twice" in r.stderr, r.stderr
+        # an unreadable row is a usage error, exit 1, wherever it is
+        f.write_text("0,1\n1,2\n1,3\n2,x\n")
+        assert run_cli("taylor", "--samples", str(f), "--eval", "3").returncode == 1
+
+    @pytest.mark.parametrize("text, value", [("6/3", 2), ("-4", -4), ("1e3", 1000), ("1/2", Fraction(1, 2))])
+    def test_integral_exact_value_is_an_int(self, text, value):
+        got = cli._rational(text)
+        assert got == value and type(got) is type(value)
+
 
 class TestGraph:
     def test_info(self):

@@ -190,6 +190,7 @@ class TestAntiderivative:
         F = expr.antiderivative(expr.parse("exp(1.x)"))
         for x in range(10):
             assert expr.evaluate(F, x) == 2 ** x - 1
+        assert expr.antiderivative(expr.parse("1^x")) == FallingPower(1)  # the constant 1, summed
 
     def test_log_has_no_closed_form(self):
         with pytest.raises(NoClosedFormError):
@@ -272,6 +273,10 @@ _products = st.one_of(
     _atoms,
     st.tuples(st.integers(-9, 9).filter(lambda n: n != 0), _atoms).map(
         lambda t: make_product([Const(Fraction(t[0])), t[1]])
+    ),
+    # a parenthesised sum as a factor, after a constant of either sign: -3*(x + [x]^2)*2^x
+    st.tuples(st.integers(-9, 9).filter(lambda n: n != 0), st.lists(_atoms, min_size=2, max_size=3), _atoms).map(
+        lambda t: make_product([Const(Fraction(t[0])), make_sum(t[1]), t[2]])
     ),
 )
 _trees = st.one_of(_products, st.lists(_products, min_size=1, max_size=4).map(make_sum))

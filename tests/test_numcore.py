@@ -149,6 +149,16 @@ class TestExpTrig:
         assert re * w.re - im * w.im == 1
         assert re * w.im + im * w.re == 0
 
+    def test_real_exponential(self):
+        # exp(a.x) = (1 + a)^x: an int at x >= 0, a Fraction below, and base 0 has no negative powers
+        assert [nc.exp_exact(1, x) for x in range(6)] == [1, 2, 4, 8, 16, 32]
+        assert type(nc.exp_exact(2, 3)) is int and nc.exp_exact(-1, 0) == 1
+        value = nc.exp_exact(2, -2)
+        assert value == Fraction(1, 9) and type(value) is Fraction
+        assert nc.exp_exact(-3, -3) == Fraction(-1, 8)
+        with pytest.raises(DomainError):
+            nc.exp_exact(-1, -1)
+
 
 class TestRecord:
     def test_equality_depends_on_the_type(self):
@@ -275,6 +285,13 @@ class TestHarmonic:
         for x in range(12):
             assert nc.harmonic_eval(3, c_cos, c_sin, x) == expected[x]
         assert expected[2] == -10
+
+    def test_rational_start_matches_recurrence_oracle(self):
+        # f(0) = 1/2 is the one non-integral value: every later one is an int
+        c_cos, c_sin = nc.solve_harmonic(3, Fraction(1, 2), 1)
+        values = [nc.harmonic_eval(3, c_cos, c_sin, x) for x in range(12)]
+        assert values == self.oracle(3, Fraction(1, 2), 1, 10)
+        assert [type(v) for v in values] == [Fraction] + [int] * 11
 
     def test_pure_cos(self):
         assert nc.solve_harmonic(1, 1, 1) == (1, 0)
