@@ -71,11 +71,14 @@ def _parsed(kind, text, where: str):
         raise UsageError(f"cannot read {where}: {type(exc).__name__}: {exc}") from None
 
 
-def _csv_rows(path: str, header: str, width: int):
-    """The data rows of a CSV file: blank, '#' comment and header rows are skipped; a malformed file
-    (a field past csv.field_size_limit(), say) is a UsageError."""
+def _csv_table(path: str, header: str, width: int, read, name) -> dict:
+    """{key: value} in row order, from the (key, value) pair that ``read`` makes of each data row of a CSV file;
+    blank, '#' comment and header rows are skipped.  Every row is read before any is judged, so a malformed file
+    (a short row, an unreadable cell, a field past csv.field_size_limit()) is a UsageError even after a key
+    given twice, which is otherwise a DomainError naming the key as ``name(key)``."""
     import csv
 
+    pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for row in csv.reader(fh):
@@ -84,9 +87,15 @@ def _csv_rows(path: str, header: str, width: int):
                     continue
                 if len(row) < width:
                     raise UsageError(f"{path}: row {','.join(row)!r} needs {width} columns")
-                yield row
+                pairs.append(read(row))
         except csv.Error as exc:
             raise UsageError(str(exc)) from None
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise DomainError(f"{name(key)} given twice")
+        table[key] = value
+    return table
 
 
 def _rational(text: str):
@@ -118,20 +127,14 @@ def _load_graph(args) -> cx.Graph:
 def _load_samples(path: str) -> Sequence:
     from .numcore import Sequence
 
-    pairs = []
-    for row in _csv_rows(path, "x", 2):
-        pairs.append((_parsed(int, row[0], path), _csv_value(row[1].strip(), path)))
-    pairs.sort()
-    if not pairs:
+    table = _csv_table(path, "x", 2, lambda row: (_parsed(int, row[0], path), _csv_value(row[1].strip(), path)),
+                       "x = {}".format)
+    if not table:
         raise DomainError("no samples in file")
-    xs = [x for x, _ in pairs]
-    for x, after in zip(xs, xs[1:]):  # checked once every row is read: an unreadable row is reported first
-        if x == after:
-            raise DomainError(f"x = {x} given twice")
-    base = xs[0]
-    if xs != list(range(base, base + len(xs))):
+    xs = sorted(table)
+    if xs[-1] - xs[0] != len(xs) - 1:  # the xs are distinct
         raise DomainError("samples must cover consecutive integers")
-    return Sequence(base, tuple(v for _, v in pairs))
+    return Sequence(xs[0], tuple(table[x] for x in xs))
 
 
 def _print_matrix(op: forms.OperatorMatrix, out):
@@ -208,30 +211,31 @@ def cmd_plot(args, out):
 # Argument wiring
 
 
-# subcommand -> (help, arguments), each argument a pair (names, add_argument keywords), in help order
+# subcommand -> (module of its handler cmd_<subcommand>, help, arguments), each argument a pair (names,
+# add_argument keywords), in help order
 _SUBCOMMANDS = {
-    "eval": ("evaluate an expression at an integer point", [
+    "eval": ("cli", "evaluate an expression at an integer point", [
         (["expression"], {}),
         (["--at"], {"type": int, "required": True}),
         (["--op"], {"choices": ["none", "diff", "sum"], "default": "none"}),
     ]),
-    "sum": ("definite sum with inclusive bounds", [
+    "sum": ("cli", "definite sum with inclusive bounds", [
         (["expression"], {}),
         (["--from"], {"dest": "lo", "type": int, "required": True}),
         (["--to"], {"dest": "hi", "type": int, "required": True}),
     ]),
-    "taylor": ("Newton-Gregory interpolation of samples", [
+    "taylor": ("cli", "Newton-Gregory interpolation of samples", [
         (["--samples"], {"required": True}),
         (["--eval"], {"type": int, "default": None}),
         (["--print"], {"dest": "print_form", "action": "store_true"}),
     ]),
-    "graph": ("graph and topology reports", [
+    "graph": ("graphcli", "graph and topology reports", [
         (["action"], {"choices": ["info", "betti", "curvature", "indices", "classify"]}),
         (["--gen"], {"default": None}),
         (["--file"], {"default": None}),
         (["--fn"], {"default": None}),
     ]),
-    "forms": ("operator matrices and integral theorems", [
+    "forms": ("formscli", "operator matrices and integral theorems", [
         (["action"], {"choices": ["dirac", "laplacian", "stokes", "poisson"]}),
         (["--gen"], {"default": None}),
         (["--file"], {"default": None}),
@@ -239,7 +243,7 @@ _SUBCOMMANDS = {
         (["--current"], {"default": None}),
         (["--degree"], {"type": int, "default": None}),
     ]),
-    "pde": ("heat, wave and Schroedinger flows", [
+    "pde": ("formscli", "heat, wave and Schroedinger flows", [
         (["action"], {"choices": ["heat", "wave", "schrodinger"]}),
         (["--t"], {"type": _finite, "required": True}),
         (["--form"], {"required": True}),
@@ -248,7 +252,7 @@ _SUBCOMMANDS = {
         (["--file"], {"default": None}),
         (["--degree"], {"type": int, "default": None}),
     ]),
-    "plot": ("SVG comparison of deformed vs classical", [
+    "plot": ("cli", "SVG comparison of deformed vs classical", [
         (["--fn"], {"required": True}),
         (["--a"], {"type": _finite, "default": 1.0}),
         (["--h"], {"type": _finite, "default": 1.0}),
@@ -256,8 +260,6 @@ _SUBCOMMANDS = {
         (["--out"], {"required": True}),
     ]),
 }
-# the module of each subcommand whose handler, cmd_<subcommand>, is not in this one
-_HANDLER_MODULES = {"graph": "graphcli", "forms": "formscli", "pde": "formscli"}
 
 
 def _negative_number(word: str) -> bool:
@@ -283,7 +285,7 @@ def _read_argv(argv: list) -> types.SimpleNamespace | None:
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     values, options, required, given, positional = {"command": argv[0]}, {}, set(), set(), None
-    for (name,), spec in _SUBCOMMANDS[argv[0]][1]:
+    for (name,), spec in _SUBCOMMANDS[argv[0]][2]:
         dest = spec.get("dest", name.lstrip("-"))
         if not name.startswith("-"):
             positional = dest, spec
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="discalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments) in _SUBCOMMANDS.items():
+    for name, (_, help_text, arguments) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for names, options in arguments:
             p.add_argument(*names, **options)
@@ -343,11 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _handler(command: str):
-    """cmd_<command>, looked up as it runs so that a rebound name is called; a handler module of
-    _HANDLER_MODULES loads for its own commands only."""
-    name = _HANDLER_MODULES.get(command)
-    module = importlib.import_module(f"{__package__}.{name}") if name else sys.modules[__name__]
-    return getattr(module, f"cmd_{command}")
+    """cmd_<command> in the module that _SUBCOMMANDS names for it, looked up as it runs so that a rebound name
+    is called; a handler module loads for its own commands only."""
+    return getattr(importlib.import_module(f"{__package__}.{_SUBCOMMANDS[command][0]}"), f"cmd_{command}")
 
 
 def main(argv=None) -> int:

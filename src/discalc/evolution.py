@@ -13,16 +13,20 @@ scales its input by a power of two once (``_unit``) and decides there: a
 divergence, gauge residual or harmonic norm is rounding when it is at most
 ``SOURCE_TOL`` times max |current|, so no decision depends on the input's size.
 The divergence of an exact current, of ints and Fractions, is decided exactly.
+Non-finite values are refused in one place, ``_ldexp``, which every vector
+passes on the way in and on the way out: an infinite or nan entry, given or
+made, and a result past the float range are each a DomainError.
 
 The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
 taken from one dense eigendecomposition instead, in ``discalc.spectral``; only
 that route imports it, and numpy with it.  It also answers very long times,
-such as heat at t = 1e15, and reports a t * eigenvalue past the float range.
+such as heat at t = 1e15; a t * eigenvalue past the float range makes a nan.
 A matrix of more than ``MAX_DENSE_DIM`` rows is refused before that import.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from . import DomainError
@@ -99,12 +103,16 @@ def _unit(v: list) -> tuple:
 
 
 def _ldexp(v: list, e: int) -> list:
-    """v * 2^e entrywise; DomainError when an entry leaves the float range."""
+    """v * 2^e entrywise; DomainError when an entry, real or complex, is infinite or nan or leaves the
+    float range.  Every flow and solve vector passes here on the way in (``_unit``) and on the way out."""
     try:
-        return [complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) if isinstance(x, complex)
-                else math.ldexp(x, e) for x in v]
+        out = [complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) if isinstance(x, complex)
+               else math.ldexp(x, e) for x in v]
+        if all(map(cmath.isfinite, out)):
+            return out
     except OverflowError:
-        raise DomainError("the result leaves the float range") from None
+        pass
+    raise DomainError("a value is infinite or nan, or leaves the float range")
 
 
 def _exp_action(op: OperatorMatrix, alpha, u: list) -> list:
@@ -244,10 +252,7 @@ def wave_flow(c: GraphComplex, f0, g0, t: float) -> tuple:
     lap = _gram(d)  # L = D^2 = D^T D, with D kept for the dense route
     sigma = math.sqrt(_norm1(lap))  # balances u and w
     if not sigma:  # no edges: L = 0, so u = f + t g and u_t = g
-        u = [a + t * b for a, b in zip(x[:n], x[n:])]
-        if not all(map(math.isfinite, u)):
-            raise DomainError(f"the flow leaves the float range at t = {abs(t)!r}")
-        return _ldexp(u, e), _ldexp(x[n:], e)
+        return _ldexp([a + t * b for a, b in zip(x[:n], x[n:])], e), _ldexp(x[n:], e)
     cost = abs(t) * sigma
     if cost <= DENSE_CROSSOVER:
         pairs = _pairs(lap)

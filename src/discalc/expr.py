@@ -167,11 +167,7 @@ def _tokenize(text: str):
             tokens.append(("ident", text[i:j], i))
             i = j
             continue
-        if ch == "·":  # middle dot, same as '.'
-            tokens.append(("dot", ".", i))
-            i += 1
-            continue
-        if ch == ".":
+        if ch in ".·":  # '·', the middle dot, reads as '.'
             tokens.append(("dot", ".", i))
             i += 1
             continue
@@ -559,7 +555,6 @@ def antiderivative(node):
         rest = [f for f in node.factors if not isinstance(f, Const)]
         if len(rest) == 1:
             return make_product(consts + [antiderivative(rest[0])])
-        raise NoClosedFormError(f"no closed-form antiderivative for {to_string(node)}")
     raise NoClosedFormError(f"no closed-form antiderivative for {to_string(node)}")
 
 

@@ -8,7 +8,7 @@ that a wrapper bound there (the benchmark's tracer books matrix printing as ``cl
 from __future__ import annotations
 
 from . import DomainError, cli
-from .cli import UsageError, _csv_rows, _csv_value, _load_graph, _parsed, fmt
+from .cli import UsageError, _csv_table, _csv_value, _load_graph, _parsed, fmt
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -32,22 +32,18 @@ def _parse_simplex(text: str) -> tuple:
 
 def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
     """(degree, position in c.simplices[degree], value) for each row."""
-    rows, seen = [], set()
-    for row in _csv_rows(path, "degree", 3):
+    def read(row):
         d, simplex = _parsed(int, row[0], path), _parsed(_parse_simplex, row[1], path)
-        value = _csv_value(row[2], path)
-        rows.append((d, c.positions(d, [simplex])[0], value))
-        if simplex in seen:
-            raise DomainError(f"simplex {_simplex_name(simplex)} given twice")
-        seen.add(simplex)
-    return rows
+        return simplex, (d, _csv_value(row[2], path))
+
+    table = _csv_table(path, "degree", 3, read, lambda simplex: f"simplex {_simplex_name(simplex)}")
+    return [(d, c.positions(d, [simplex])[0], value) for simplex, (d, value) in table.items()]
 
 
 def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
     from . import forms
 
-    if not 0 <= degree <= c.top_dim:
-        raise DomainError(f"the complex has no {degree}-simplices")
+    c.positions(degree, ())  # DomainError for a degree with no simplices
     values = [0] * c.count(degree)
     for d, i, value in _load_form_rows(path, c):
         if d != degree:

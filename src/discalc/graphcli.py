@@ -8,21 +8,18 @@
 from __future__ import annotations
 
 from . import DomainError
-from .cli import _csv_rows, _load_graph, _parsed, _rational, fmt
+from .cli import _csv_table, _load_graph, _parsed, _rational, fmt
 
 
-def _load_vertex_fn(path: str, n: int) -> list:
-    values = [None] * n
-    for row in _csv_rows(path, "vertex", 2):
-        v = _parsed(int, row[0], path)
-        if not 0 <= v < n:
-            raise DomainError(f"vertex {v} out of range")
-        if values[v] is not None:
-            raise DomainError(f"vertex {v} given twice")
-        values[v] = _parsed(_rational, row[1], path)
-    if any(v is None for v in values):
+def _load_vertex_fn(path: str, g) -> list:
+    """The values of a vertex function on the graph g, one for each vertex."""
+    values = _csv_table(path, "vertex", 2, lambda row: (_parsed(int, row[0], path), _parsed(_rational, row[1], path)),
+                        "vertex {}".format)
+    for v in values:
+        g.neighbors(v)  # DomainError for a vertex out of range
+    if len(values) != g.vertex_count:
         raise DomainError("function file does not cover every vertex")
-    return values
+    return [values[v] for v in range(g.vertex_count)]
 
 
 def cmd_graph(args, out):
@@ -48,7 +45,7 @@ def cmd_graph(args, out):
         out.write(f"total,{fmt(sum(curvatures))}\n")
         return 0
     if args.action == "indices":
-        f = _load_vertex_fn(args.fn, g.vertex_count) if args.fn else list(range(g.vertex_count))
+        f = _load_vertex_fn(args.fn, g) if args.fn else list(range(g.vertex_count))
         report = tp.poincare_hopf(c, f)
         out.write("vertex,index,class,curvature\n")
         for v, k in enumerate(tp.curvature_vector(c)):

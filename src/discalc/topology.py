@@ -40,8 +40,7 @@ def curvature_vector(c: GraphComplex) -> tuple:
 
 def curvature(c: GraphComplex, x: int) -> Fraction:
     """K(x), entry x of ``curvature_vector``."""
-    if not 0 <= x < c.graph.vertex_count:
-        raise DomainError(f"vertex {x} out of range")
+    c.graph.neighbors(x)  # DomainError for a vertex out of range
     return curvature_vector(c)[x]
 
 
@@ -49,10 +48,12 @@ def curvature(c: GraphComplex, x: int) -> Fraction:
 # Poincare-Hopf indices
 
 
-def _check_injective(f, n: int):
+def _check_injective(f, n: int) -> list:
+    """The values f[0..n-1]; DomainError when two are equal."""
     values = [f[v] for v in range(n)]
     if len(set(values)) != len(values):
         raise DomainError("function must be injective")
+    return values
 
 
 def sub_level_sphere(c: GraphComplex, f, x: int) -> Graph:
@@ -76,7 +77,7 @@ def _critical_class(sub: Graph, i: int) -> str:
     """Critical class of a vertex x with S^-(x) = sub and i_f(x) = i."""
     if sub.vertex_count == 0:
         return "min"
-    if is_cycle_graph(sub, min_len=3):
+    if is_cycle_graph(sub):
         return "max"
     if i == -2:
         return "monkey"
@@ -87,8 +88,7 @@ def _critical_class(sub: Graph, i: int) -> str:
 
 def index(c: GraphComplex, f, x: int) -> int:
     """i_f(x) = 1 - chi(S^-(x))."""
-    if not 0 <= x < c.graph.vertex_count:
-        raise DomainError(f"vertex {x} out of range")
+    c.graph.neighbors(x)  # DomainError for a vertex out of range
     return _indices(c, f)[x]
 
 
@@ -179,8 +179,8 @@ def connected_components(g: Graph) -> list:
     return components
 
 
-def is_cycle_graph(g: Graph, min_len: int = 3) -> bool:
-    if g.vertex_count < min_len or len(g.edges) != g.vertex_count:
+def is_cycle_graph(g: Graph) -> bool:
+    if g.vertex_count < 3 or len(g.edges) != g.vertex_count:
         return False
     if len(connected_components(g)) != 1:
         return False
@@ -246,9 +246,7 @@ def level_curve(c: GraphComplex, f, cut) -> Graph:
     surface the result is a finite union of cycles.
     """
     g = c.graph
-    values = [f[v] for v in range(g.vertex_count)]
-    if len(set(values)) != len(values):
-        raise DomainError("level_curve needs an injective function")
+    values = _check_injective(f, g.vertex_count)
     if any(v == cut for v in values):
         raise DomainError("cut collides with a function value")
     edges = c.simplices[1] if c.top_dim >= 1 else ()

@@ -18,7 +18,7 @@ from operator import add
 
 from . import DomainError, record
 from .complexes import GraphComplex
-from .forms import Form
+from .forms import Form, exterior_derivative
 
 
 class NonOrientableError(DomainError):
@@ -85,15 +85,11 @@ def orient_region(c: GraphComplex, k: int, region) -> Orientation:
 def apply_d(F: Form) -> Form:
     """dF(s) = sum_i (-1)^i F(s without vertex i), read along the signed rows of the face table."""
     c, k = F.complex_ref, F.degree
-    if k < 0:
-        raise DomainError("degree must be >= 0")
-    if k >= c.top_dim:
-        return Form(c, k + 1, ())
     # faces in ascending position, i.e. column i from k+1 down to 0, added left to right from the
     # first term: the summation order of d_k @ F.  Not sum(), which compensates float sums on 3.12+.
     values = F.values
     return Form(c, k + 1, [reduce(add, [s * values[f] for f, s in reversed(row.items())])
-                           for row in c.faces[k + 1]])
+                           for row in exterior_derivative(c, k).rows])
 
 
 # ---------------------------------------------------------------------------

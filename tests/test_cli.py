@@ -391,6 +391,7 @@ class TestFrontDoor:
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n9,2\n"}, 2),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,0\n1,1\n-1,2\n"}, 2),
         (("forms", "laplacian", "--degree", "9", "--gen", "cycle:4"), {}, 2),
+        (("forms", "laplacian", "--degree", "-1", "--gen", "cycle:4"), {}, 2),
         (("pde", "heat", "--gen", "cycle:5", "--t", "inf", "--form", "{f}"), {"f": "0,0,1\n"}, 1),
         (("pde", "heat", "--gen", "cycle:5", "--t", "nan", "--form", "{f}"), {"f": "0,0,1\n"}, 1),
         (("plot", "--fn", "sin", "--a", "nan", "--range", "0:1", "--out", "{o}"), {}, 1),
@@ -433,6 +434,12 @@ class TestFrontDoor:
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,5\n1,2\n"}, 2),
         (("forms", "stokes", "--gen", "path:2", "--degree", "0", "--form", "{f}"), {"f": "0,0,3\n0,0,4\n"}, 2),
         (("taylor", "--samples", "{f}", "--eval", "3", "--print"), {"f": "1,1\n2,4\n3,9\n4,16\n"}, 2),
+        # every row is read before any is judged: an unreadable row is reported before a repeated key or a
+        # vertex out of range that comes ahead of it
+        (("forms", "stokes", "--gen", "wheel:6", "--form", "{f}"), {"f": "1,0-1,1\n1,0-1,2\n1,1-2,abc\n"}, 1),
+        (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,2\n1,x\n"}, 1),
+        (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "9,1\n1,x\n"}, 1),
+        (("taylor", "--samples", "{f}", "--eval", "3"), {"f": "0,1\n0,2\n1,x\n"}, 1),
         # one field longer than csv.field_size_limit() (131072 by default): csv.Error, a usage error
         (("taylor", "--samples", "{f}", "--eval", "3"), {"f": "0," + "1" * 200_000 + "\n"}, 1),
         # graphs past complexes.MAX_SIMPLICES and MAX_VERTICES, refused before they are built
@@ -454,7 +461,7 @@ class TestFrontDoor:
             "file-bool-endpoint", "simplex-descending",
             "value-not-number", "form-two-columns", "fn-value-not-number", "samples-one-column", "plot-pow-not-int",
             "simplex-not-in-complex", "degree-not-in-complex", "vertex-past-end", "vertex-negative",
-            "laplacian-degree-past-top", "t-inf", "t-nan", "a-nan", "h-inf", "range-inf", "range-nan",
+            "laplacian-degree-past-top", "laplacian-degree-negative", "t-inf", "t-nan", "a-nan", "h-inf", "range-inf", "range-nan",
             "exp-h-zero", "sin-h-zero", "exp-negative-base", "exp-overflow", "pow-negative",
             "heat-value-past-float", "schrodinger-value-past-float", "poisson-value-past-float",
             "schrodinger-t-past-float", "wave-t-past-float", "sum-power-past-bound", "plot-pow-past-bound",
@@ -465,7 +472,8 @@ class TestFrontDoor:
             "stokes-non-orientable", "poisson-harmonic-current", "poisson-tiny-divergence",
             "poisson-exact-tiny-divergence",
             "wave-drift-past-float", "fn-vertex-twice", "form-simplex-twice",
-            "taylor-print-unanchored", "samples-field-past-csv-limit", "complete-past-simplex-bound",
+            "taylor-print-unanchored", "form-twice-then-unreadable", "fn-twice-then-unreadable",
+            "fn-vertex-past-end-then-unreadable", "samples-twice-then-unreadable", "samples-field-past-csv-limit", "complete-past-simplex-bound",
             "hexpatch-past-vertex-bound", "file-past-vertex-bound", "dirac-past-printed-cells",
             "schrodinger-past-dense-bound", "wave-past-dense-bound", "eval-literal-past-digit-limit",
             "sum-literal-past-digit-limit", "eval-nested-past-recursion-limit", "diff-product-past-recursion-limit"])

@@ -226,6 +226,31 @@ class TestWaveFlow:
             ev.wave_flow(c, [0.0] * len(g0), g0, t)
 
 
+def with_entry(n: int, x) -> list:
+    """[1, 0, x, 0, ...] of length n: x is neither the first entry nor, if nan, the largest."""
+    return [1.0, 0.0, x] + [0.0] * (n - 3)
+
+
+NON_FINITE_CALLS = {
+    "heat": lambda c, x: ev.heat_flow(c, 0, fm.Form(c, 0, with_entry(c.count(0), x)), 1.0),
+    "schrodinger": lambda c, x: ev.schrodinger_flow(c, with_entry(fm.total_dim(c), x), 1.0),
+    "schrodinger-complex": lambda c, x: ev.schrodinger_flow(c, with_entry(fm.total_dim(c), complex(1.0, x)), 1.0),
+    "wave-f": lambda c, x: ev.wave_flow(c, with_entry(fm.total_dim(c), x), [0.0] * fm.total_dim(c), 1.0),
+    "wave-g": lambda c, x: ev.wave_flow(c, [0.0] * fm.total_dim(c), with_entry(fm.total_dim(c), x), 1.0),
+    "poisson": lambda c, x: ev.poisson_maxwell(c, fm.Form(c, 1, with_entry(c.count(1), x))),
+}
+
+
+class TestNonFiniteInput:
+    """An infinite or nan entry given to a flow or the solve is a DomainError, not a nan or inf answer."""
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("call", list(NON_FINITE_CALLS))
+    def test_refused(self, call, x):
+        with pytest.raises(DomainError, match="float range"):
+            NON_FINITE_CALLS[call](complex_of("cycle:5"), x)
+
+
 class TestFeynmanPathSum:
     def test_matches_matrix_powers(self):
         for spec in ("complete:2", "complete:3", "cycle:4"):

@@ -161,7 +161,7 @@ class TestCurvature:
             c = complex_of(spec)
             for x in range(c.graph.vertex_count):
                 sphere = tp.unit_sphere(c, x)
-                assert tp.is_cycle_graph(sphere, min_len=3)
+                assert tp.is_cycle_graph(sphere)
                 assert tp.curvature(c, x) == 1 - Fraction(sphere.vertex_count, 6)
 
     def test_flat_interior(self):
@@ -315,7 +315,7 @@ def sphere_route(c: cx.GraphComplex, f, x: int) -> tuple:
     if sub.vertex_count == 0:
         return 1, "min"
     i = 1 - hm.euler_characteristic(cx.build_complex(sub))
-    if tp.is_cycle_graph(sub, min_len=3):
+    if tp.is_cycle_graph(sub):
         return i, "max"
     if i == -2:
         return i, "monkey"
