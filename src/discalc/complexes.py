@@ -68,8 +68,8 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         """Induced subgraph; its vertex i is the i-th smallest of ``vertices``."""
         order = sorted(vertices)
-        if order and not (0 <= order[0] and order[-1] < self.vertex_count):
-            raise DomainError("induced subgraph needs vertices in range")
+        for v in order[:1] + order[-1:]:  # the range rule of neighbors, on the smallest and the largest
+            self.neighbors(v)
         back = {old: new for new, old in enumerate(order)}
         edges = {(back[a], back[b]) for a in order for b in self._adjacency[a] if a < b and b in back}
         return Graph(len(order), frozenset(edges))

@@ -1,27 +1,26 @@
 """Heat, Schroedinger and wave flows and the Poisson/Maxwell solve.
 
 Every flow is the action of one matrix exponential on one vector, computed in
-plain Python floats and complexes from the sparse rows of an
-``OperatorMatrix`` by one truncated Taylor loop with scaling steps and an early
-stop (Al-Mohy & Higham, "Computing the action of the matrix exponential",
-SIAM J. Sci. Comput. 2011): heat e^(-tL_k) f, Schroedinger e^(itD) f, and the
-wave u'' = -Lu as the first-order system (u, w)' = [[0, s], [-L/s, 0]] (u, w),
-with w = u'/s and s = sqrt(||L||_1).  The Poisson solve L_1+ j takes two MINRES
-passes (Paige & Saunders); the residual of the first is, up to rounding, the
-harmonic part of the current, the part no solve reaches.  Each public entry
-scales its input by a power of two once (``_unit``) and decides there: a
-divergence, gauge residual or harmonic norm is rounding when it is at most
-``SOURCE_TOL`` times max |current|, so no decision depends on the input's size.
-The divergence of an exact current, of ints and Fractions, is decided exactly.
-Non-finite values are refused in one place, ``_ldexp``, which every vector
-passes on the way in and on the way out: an infinite or nan entry, given or
-made, and a result past the float range are each a DomainError.
+plain Python floats and complexes from the sparse rows of an ``OperatorMatrix``
+by one Chebyshev series with Bessel coefficients, whose degree is known before
+its first matvec (Tal-Ezer & Kosloff, J. Chem. Phys. 1984): heat e^(-tL_k) f,
+Schroedinger e^(itD) f, and the wave u'' = -Lu as the J series of its first-order
+system (u, u')' = [[0, 1], [-L, 0]] (u, u').  The coefficients come from Miller's
+backward recurrence in + - * / and fsum: the same bits on every host.  The
+Poisson solve L_1+ j takes two MINRES passes (Paige & Saunders); the residual of
+the first is, up to rounding, the harmonic part of the current, which no solve
+reaches.  Each public entry scales its input by a power of two once (``_unit``)
+and decides there: a divergence, gauge residual or harmonic norm is rounding
+when it is at most ``SOURCE_TOL`` times max |current|, so no decision depends on
+the input's size.  The divergence of an exact current, of ints and Fractions, is
+decided exactly.  Non-finite values are refused in one place, ``_ldexp``, which
+every vector passes on the way in and on the way out: an infinite or nan entry,
+given or made, and a result past the float range are each a DomainError.
 
-The Taylor cost grows with t ||A||_1.  Past ``DENSE_CROSSOVER`` the action is
-taken from one dense eigendecomposition instead, in ``discalc.spectral``; only
-that route imports it, and numpy with it.  It also answers very long times,
-such as heat at t = 1e15; a t * eigenvalue past the float range makes a nan.
-A matrix of more than ``MAX_DENSE_DIM`` rows is refused before that import.
+One rule, ``_route``, sends a flow past ``DENSE_CROSSOVER`` in t ||A||_1 to a
+dense eigendecomposition in ``discalc.spectral``, imported with numpy on that
+route alone, and refuses a matrix of over ``MAX_DENSE_DIM`` rows before then.
+It answers long times, such as heat at t = 1e15, and past the float range a nan.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from .forms import Form, OperatorMatrix, _gram, dirac, exterior_derivative, lapl
 # exact sources on the size ladder and random clique complexes left at most 1.6e-15 of max |source|
 SOURCE_TOL = 1e-10
 
-# t ||A||_1 up to which the Taylor action costs less than one dense eigendecomposition, numpy import
-# included, on every rung of the size ladder (hexpatch:2..12, complete:4..10, icosahedron, annulus,
-# moebius); the closest rungs cross near 73 (D of complete:10) and 76 (D of hexpatch:6)
+# t ||A||_1 up to which the Taylor loop the series replaced cost less than one dense eigendecomposition, numpy
+# import included, on every rung of the size ladder (hexpatch:2..12, complete:4..10, icosahedron, annulus, moebius;
+# closest near 73 and 76); the series is cheaper (108 against 252 matvecs for D of icosahedron at 63): conservative
 DENSE_CROSSOVER = 64
 # Largest n whose n x n matrix the dense route decomposes; past it a flow past DENSE_CROSSOVER is refused
 # before numpy is imported.  sym_eigen holds about six n x n float64 arrays at once: with one BLAS thread on a
@@ -46,10 +45,6 @@ DENSE_CROSSOVER = 64
 # on hexpatch:15 (n = 4141), also under a 1.2 GB address-space limit.  hexpatch:24 (n = 10 513) would need
 # two 0.9 GB arrays before eigh.
 MAX_DENSE_DIM = 4096
-# theta_m of Al-Mohy & Higham (2011), Table 3.1, for double precision: m Taylor terms of
-# e^(alpha A / s) meet the unit roundoff as a backward error once ||alpha A||_1 / s <= theta_m
-TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0,
-                45: 7.2, 50: 8.5, 55: 9.9}
 UNIT_ROUNDOFF = 2.0 ** -53
 # ||A r|| / (||A||_1 ||r||) below which a MINRES residual r counts as the part of b in ker A.  Once
 # it is, Lanczos loses orthogonality and the iterates blow up.  Only the first pass of the Poisson solve
@@ -97,7 +92,7 @@ def _max_abs(v) -> float:
 
 def _unit(v: list) -> tuple:
     """(u, e) with v = u * 2^e and max |u| in [1/2, 1).  The power of two rounds nothing (bar
-    subnormal entries), and no Taylor or MINRES step on u can overflow, whatever the size of v."""
+    subnormal entries), and no series or MINRES step on u can overflow, whatever the size of v."""
     e = math.frexp(_max_abs(v))[1]
     return _ldexp(v, -e), e
 
@@ -115,43 +110,45 @@ def _ldexp(v: list, e: int) -> list:
     raise DomainError("a value is infinite or nan, or leaves the float range")
 
 
-def _exp_action(op: OperatorMatrix, alpha, u: list) -> list:
-    """e^(alpha A) u for the symmetric operator A, a real or complex alpha and a vector u of
-    moderate size, such as one scaled by _unit."""
-    cost = abs(alpha) * _norm1(op)
+def _route(cost: float, series, op: OperatorMatrix, *dense_args) -> list:
+    """series() for a cost t ||A||_1 up to DENSE_CROSSOVER; past it, or nan, ``spectral.dense_exp_action(op,
+    *dense_args)``, which loads numpy, and a DomainError before that when op has over MAX_DENSE_DIM rows."""
     if cost <= DENSE_CROSSOVER:
-        pairs = _pairs(op)
-        return _taylor_action(lambda b, k: _matvec(pairs, b, alpha / k), cost, u)
-    _check_dense(op.shape[0])
-    from .spectral import dense_exp_action
-
-    return dense_exp_action(op, alpha, u)  # also a cost past the float range, or nan
-
-
-def _check_dense(n: int):
-    """DomainError when the dense route would decompose an n x n matrix with n past MAX_DENSE_DIM."""
+        return series()
+    n = op.shape[0]
     if n > MAX_DENSE_DIM:
         raise DomainError(f"the flow is past DENSE_CROSSOVER, and its {n} x {n} matrix is past "
                           f"MAX_DENSE_DIM = {MAX_DENSE_DIM} for a dense eigendecomposition")
+    from .spectral import dense_exp_action
+
+    return dense_exp_action(op, *dense_args)
 
 
-def _taylor_action(step, cost: float, u: list) -> list:
-    """e^A u as s steps of the degree-m Taylor polynomial of e^(A / s), stopping a step early once
-    two terms in a row are below the unit roundoff; step(b, k) is A b / k, cost = ||A||_1, and
-    (m, s) has the fewest products m s with cost / s <= theta_m (Al-Mohy & Higham, Algorithm 3.2)."""
-    m, s = min(((m, math.ceil(cost / theta)) for m, theta in TAYLOR_THETA.items()), key=lambda p: p[0] * p[1])
-    for _ in range(s):
-        f = b = u
-        c1 = _max_abs(b)
-        for j in range(1, m + 1):
-            b = step(b, s * j)
-            c2 = _max_abs(b)
-            f = [x + y for x, y in zip(f, b)]
-            if c1 + c2 <= UNIT_ROUNDOFF * _max_abs(f):
-                break
-            c1 = c2
-        u = f
-    return u
+def _series(step, x: float, u: list, imaginary: bool) -> list:
+    """e^(x(B - 1)) u, or e^(xB) u when imaginary, as sum c_k P_k u for step(v, a) = a B v and B with its
+    spectrum in [-1, 1], or [-i, i]: P_0 = 1, P_1 = B and P_k+1 = 2B P_k -+ P_k-1, so T_k(B) or i^k T_k(-iB).
+    c_k = (2 - [k = 0]) e^-x I_k(x), or (2 - [k = 0]) J_k(x), by Miller's backward recurrence from
+    n = floor(x + 9 sqrt x) + 30, past where either falls below rounding, normalised by sum c_k = 1, or
+    sum c_2k = 1 (Gautschi, SIAM Rev. 1967); the tail below the unit roundoff is dropped."""
+    sign = 1.0 if imaginary else -1.0
+    c = [1.0]
+    if x > UNIT_ROUNDOFF:
+        b = [0.0, 1.0]  # b_n+1, b_n, ..., b_0: I_k-1 = (2k / x) I_k + I_k+1 and J_k-1 = (2k / x) J_k - J_k+1
+        for k in range(math.floor(x + 9 * math.sqrt(x)) + 30, 0, -1):
+            b.append(2 * k / x * b[-1] - sign * b[-2])
+            if abs(b[-1]) > 1e250:
+                b = [y * 1e-250 for y in b]
+        c = [b[-1]] + [2 * y for y in b[-2:0:-1]]
+        norm = math.fsum(c[::2] if imaginary else c)
+        tail = 0.0
+        while tail + abs(c[-1]) <= UNIT_ROUNDOFF * abs(norm):
+            tail += abs(c.pop())
+        c = [y / norm for y in c]
+    out, prev, p = [c[0] * y for y in u], None, u
+    for ck in c[1:]:
+        prev, p = p, step(p, 1.0) if prev is None else [y + sign * z for y, z in zip(step(p, 2.0), prev)]
+        out = [y + ck * z for y, z in zip(out, p)]
+    return out
 
 
 def _minres(op: OperatorMatrix, b: list) -> list:
@@ -233,13 +230,25 @@ def heat_flow(c: GraphComplex, k: int, f0: Form, t: float) -> Form:
     if f0.degree != k:
         raise DomainError("form degree mismatch")
     u, e = _unit([float(x) for x in f0.values])
-    return Form(c, k, _ldexp(_exp_action(laplacian_block(c, k), -float(t), u), e))
+    t, lap = float(t), laplacian_block(c, k)
+    rho, pairs = _norm1(lap), _pairs(lap)
+
+    def step(v, a):  # a B v for B = 1 - 2 L_k / rho
+        return [a * y + z for y, z in zip(v, _matvec(pairs, v, -2 * a / rho))]
+
+    return Form(c, k, _ldexp(_route(t * rho, lambda: _series(step, t * rho / 2, u, False), lap, -t, u), e))
 
 
 def schrodinger_flow(c: GraphComplex, f0, t: float) -> list:
     """e^(itD) f0 on the full form space; unitary."""
     u, e = _unit(_state(c, f0, complex))
-    return _ldexp(_exp_action(dirac(c), complex(0.0, t), u), e)
+    t, d = float(t), dirac(c)
+    rho, pairs = _norm1(d), _pairs(d)
+
+    def step(v, a):  # a B v for B = i sgn(t) D / rho
+        return _matvec(pairs, v, complex(0.0, math.copysign(a / rho, t)))
+
+    return _ldexp(_route(abs(t) * rho, lambda: _series(step, abs(t) * rho, u, True), d, complex(0.0, t), u), e)
 
 
 def wave_flow(c: GraphComplex, f0, g0, t: float) -> tuple:
@@ -248,26 +257,17 @@ def wave_flow(c: GraphComplex, f0, g0, t: float) -> tuple:
     drifts as t times itself.  With no edges L = 0, and u = f0 + t g0 at any t."""
     n = total_dim(c)
     x, e = _unit(_state(c, f0, float) + _state(c, g0, float))  # f || g, then u || u_t
-    d = dirac(c)
+    t, d = float(t), dirac(c)
     lap = _gram(d)  # L = D^2 = D^T D, with D kept for the dense route
-    sigma = math.sqrt(_norm1(lap))  # balances u and w
+    sigma, pairs = math.sqrt(_norm1(lap)), _pairs(lap)
     if not sigma:  # no edges: L = 0, so u = f + t g and u_t = g
         return _ldexp([a + t * b for a, b in zip(x[:n], x[n:])], e), _ldexp(x[n:], e)
-    cost = abs(t) * sigma
-    if cost <= DENSE_CROSSOVER:
-        pairs = _pairs(lap)
 
-        def step(b, k):  # t A b / k for A = [[0, sigma], [-L / sigma, 0]] on the list u || w, w = u_t / sigma
-            coeff = t / k
-            return [sigma * coeff * y for y in b[n:]] + _matvec(pairs, b[:n], -(coeff / sigma))
+    def step(v, a):  # a B v for B = sgn(t) [[0, 1], [-L, 0]] / sigma on u || u_t, spectrum in [-i, i]
+        a = math.copysign(a / sigma, t)
+        return [a * y for y in v[n:]] + _matvec(pairs, v[:n], -a)
 
-        x = _taylor_action(step, cost, x[:n] + [b / sigma for b in x[n:]])
-        x[n:] = [sigma * b for b in x[n:]]
-    else:  # also a t past the float range, or nan
-        _check_dense(n)
-        from .spectral import dense_exp_action
-
-        x = dense_exp_action(d, t, x[:n], x[n:])
+    x = _route(abs(t) * sigma, lambda: _series(step, abs(t) * sigma, x, True), d, t, x[:n], x[n:])
     return _ldexp(x[:n], e), _ldexp(x[n:], e)
 
 

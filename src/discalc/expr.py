@@ -355,7 +355,7 @@ def to_string(node) -> str:
             c = factors[0].value
             if isinstance(c, Fraction) and c < 0:
                 pos = make_product([Const(-c)] + factors[1:])
-                return "-" + to_string(pos)
+                return "-" + _print_factor(pos)
         return "*".join(_print_factor(f) for f in factors)
     if isinstance(node, Sum):
         parts = []

@@ -41,11 +41,16 @@ def _load_form_rows(path: str, c: cx.GraphComplex) -> list:
 
 
 def _load_form(path: str, c: cx.GraphComplex, degree: int) -> forms.Form:
+    return _form_of_rows(c, degree, _load_form_rows(path, c))
+
+
+def _form_of_rows(c: cx.GraphComplex, degree: int, rows: list) -> forms.Form:
+    """The form of the given degree from rows of _load_form_rows, which are read before the degree is judged."""
     from . import forms
 
     c.positions(degree, ())  # DomainError for a degree with no simplices
     values = [0] * c.count(degree)
-    for d, i, value in _load_form_rows(path, c):
+    for d, i, value in rows:
         if d != degree:
             raise DomainError(f"expected degree-{degree} rows, found degree {d}")
         values[i] = value
@@ -95,11 +100,12 @@ def cmd_forms(args, out):
         if not args.form:
             raise UsageError("stokes needs --form PATH")
         degree = args.degree if args.degree is not None else 1
+        rows = _load_form_rows(args.form, c)
         if not 0 <= degree < c.top_dim:
             raise DomainError(f"stokes needs a degree from 0 to {c.top_dim - 1}")
         from . import vector
 
-        F = _load_form(args.form, c, degree)
+        F = _form_of_rows(c, degree, rows)
         lhs, rhs = vector.stokes_sides(c, list(c.simplices[degree + 1]), F)
         out.write(f"surface_integral: {fmt(lhs)}\n")
         out.write(f"boundary_integral: {fmt(rhs)}\n")

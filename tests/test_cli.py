@@ -304,6 +304,9 @@ class TestForms:
         # a generic velocity: annulus:3 has a harmonic 1-form besides the constants, and both drift
         ("wave", "annulus:3", "--t", "0.3", "--form", "annulus_state.csv", "--velocity", "annulus_velocity.csv"):
             "ad6b2ae48016f3726e3ee3f11ddd2a82d76882b39b6d71c320d25829d26db238",
+        # complex entries, printed to 12 digits from the J series: the same bits on every Python
+        ("schrodinger", "annulus:3", "--t", "0.3", "--form", "annulus_state.csv"):
+            "e9f6abb73f0d1da08e298017c0fc5fe442cda14e8a81e89fa7b19a4301fd6437",
     }
 
     def test_golden_stdout(self, tmp_path):
@@ -326,7 +329,7 @@ class TestForms:
         (tmp_path / "annulus_velocity.csv").write_text(
             "".join(f"{k},{'-'.join(map(str, s))},{7 * i % 13 - 6}\n" for i, (k, s) in enumerate(state)))
         for (action, gen, *rest), digest in self.GOLDEN.items():
-            command = "pde" if action in ("heat", "wave") else "forms"
+            command = "pde" if action in ("heat", "wave", "schrodinger") else "forms"
             rest = [str(tmp_path / a) if a.endswith(".csv") else a for a in rest]
             source = ("--file", str(tmp_path / gen)) if gen.endswith(".json") else ("--gen", gen)
             r = run_cli(command, action, *source, *rest)
@@ -440,6 +443,9 @@ class TestFrontDoor:
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "0,1\n0,2\n1,x\n"}, 1),
         (("graph", "indices", "--gen", "path:2", "--fn", "{f}"), {"f": "9,1\n1,x\n"}, 1),
         (("taylor", "--samples", "{f}", "--eval", "3"), {"f": "0,1\n0,2\n1,x\n"}, 1),
+        # and before the degree is judged
+        (("pde", "heat", "--gen", "cycle:4", "--degree", "9", "--t", "1", "--form", "{f}"), {"f": "0,0,abc\n"}, 1),
+        (("forms", "stokes", "--gen", "wheel:6", "--degree", "5", "--form", "{f}"), {"f": "0,0,abc\n"}, 1),
         # one field longer than csv.field_size_limit() (131072 by default): csv.Error, a usage error
         (("taylor", "--samples", "{f}", "--eval", "3"), {"f": "0," + "1" * 200_000 + "\n"}, 1),
         # graphs past complexes.MAX_SIMPLICES and MAX_VERTICES, refused before they are built
@@ -473,7 +479,8 @@ class TestFrontDoor:
             "poisson-exact-tiny-divergence",
             "wave-drift-past-float", "fn-vertex-twice", "form-simplex-twice",
             "taylor-print-unanchored", "form-twice-then-unreadable", "fn-twice-then-unreadable",
-            "fn-vertex-past-end-then-unreadable", "samples-twice-then-unreadable", "samples-field-past-csv-limit", "complete-past-simplex-bound",
+            "fn-vertex-past-end-then-unreadable", "samples-twice-then-unreadable", "unreadable-then-heat-degree-past-top",
+            "unreadable-then-stokes-degree-past-top", "samples-field-past-csv-limit", "complete-past-simplex-bound",
             "hexpatch-past-vertex-bound", "file-past-vertex-bound", "dirac-past-printed-cells",
             "schrodinger-past-dense-bound", "wave-past-dense-bound", "eval-literal-past-digit-limit",
             "sum-literal-past-digit-limit", "eval-nested-past-recursion-limit", "diff-product-past-recursion-limit"])

@@ -81,6 +81,11 @@ class TestGraph:
             with pytest.raises(DomainError):
                 g.induced(vertices)
 
+    @pytest.mark.parametrize("vertices, bad", [([0, 7], 7), ([-1, 0], -1)])
+    def test_induced_names_the_vertex_out_of_range(self, vertices, bad):
+        with pytest.raises(DomainError, match=f"^vertex {bad} out of range$"):
+            cx.parse_generator("path:2").induced(vertices)
+
 
 class TestBuildComplex:
     def test_octahedron_counts(self):

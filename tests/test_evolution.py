@@ -250,6 +250,15 @@ class TestNonFiniteInput:
         with pytest.raises(DomainError, match="float range"):
             NON_FINITE_CALLS[call](complex_of("cycle:5"), x)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("flow", ["schrodinger", "wave"])
+    def test_time_refused(self, flow, t):
+        # a cost t ||A||_1 that is not finite takes the dense route, whose answer _ldexp refuses
+        c = complex_of("cycle:5")
+        v = [1.0] * fm.total_dim(c)
+        with pytest.raises(DomainError, match="float range"):
+            ev.schrodinger_flow(c, v, t) if flow == "schrodinger" else ev.wave_flow(c, v, v, t)
+
 
 class TestFeynmanPathSum:
     def test_matches_matrix_powers(self):
@@ -516,7 +525,7 @@ class TestDenseOracle:
                 got = sum(ev.wave_flow(c, zero, g, 1.0), [])
                 assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, g))), (spec, scale)
 
-    @pytest.mark.parametrize("side", [0.99, 1.01], ids=["taylor", "dense"])
+    @pytest.mark.parametrize("side", [0.99, 1.01], ids=["series", "dense"])
     @pytest.mark.parametrize("flow", ["heat", "schrodinger", "wave"])
     def test_each_side_of_the_crossover(self, flow, side):
         # the wave's cost is t sqrt(||L||_1); its velocity is generic, so it has a part in ker D
@@ -535,6 +544,25 @@ class TestDenseOracle:
             g = [rng.uniform(-5, 5) for _ in v]
             got, dense = sum(ev.wave_flow(c, v, g, t), []), wave_oracle(sp.sym_eigen(fm.dirac(c)), t, v, g)
         assert np.abs(np.asarray(got) - dense).max() <= 1e-11 * (1 + max(map(abs, v)))
+
+    @pytest.mark.parametrize("flow, most", [("heat", 60), ("schrodinger", 120), ("wave", 120)])
+    def test_series_work_below_the_crossover(self, monkeypatch, flow, most):
+        # the series' degree at 0.99 x DENSE_CROSSOVER on icosahedron: 50, 108 and 108 operator applications
+        c = complex_of("icosahedron")
+        op = {"heat": fm.laplacian_block(c, 0), "schrodinger": fm.dirac(c), "wave": fm.laplacian(c)}[flow]
+        norm = max(sum(map(abs, row.values())) for row in op.rows)
+        t = 0.99 * ev.DENSE_CROSSOVER / (math.sqrt(norm) if flow == "wave" else norm)
+        rng = random.Random(9)
+        v, g = ([rng.uniform(-5, 5) for _ in range(op.shape[0])] for _ in range(2))
+        calls, matvec = [], ev._matvec
+        monkeypatch.setattr(ev, "_matvec", lambda *a: calls.append(1) or matvec(*a))
+        if flow == "heat":
+            ev.heat_flow(c, 0, fm.Form(c, 0, v), t)
+        elif flow == "schrodinger":
+            ev.schrodinger_flow(c, v, t)
+        else:
+            ev.wave_flow(c, v, g, t)
+        assert 0 < len(calls) <= most
 
     def test_heat_past_the_crossover_loads_numpy(self):
         # ||L_0||_1 = 4 on a cycle; the dense route's answer, bit for bit

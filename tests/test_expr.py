@@ -296,6 +296,13 @@ class TestRoundTrip:
     def test_parse_print_identity(self, tree):
         assert expr.parse(expr.to_string(tree)) == tree
 
+    @pytest.mark.parametrize("text", ["-(1 + x)", "3 - (x + 2^x)", "x - ([x]^2 + sin(2.x))", "-2*(x + 1)",
+                                      "-(x + [x])*log(x)"])
+    def test_negated_sum_keeps_its_parentheses(self, text):
+        # a sum under a negative constant prints in parentheses, or it reads back as another function
+        tree = expr.parse(text)
+        assert expr.parse(expr.to_string(tree)) == tree
+
     @given(_trees)
     def test_derivative_antiderivative_inverse(self, tree):
         try:
